@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from freeperiod.cyclotomic import cyclotomic_tag
-from freeperiod.intpoly import IntPoly
+from freeperiod.intpoly import IntPoly, graeffe
 from freeperiod.zfactor import factor_over_z
 
 
@@ -47,6 +47,8 @@ def mahler_numeric(coeffs: list[int]) -> float:
 
 def graeffe_cols(cols: list[np.ndarray]) -> list[np.ndarray]:
     """One Graeffe step on a batch: roots get squared.
+
+    The numpy-column form of intpoly.graeffe, for the vectorised box scan.
 
     f(x) = fe(x^2) + x fo(x^2);  g(y) = +-(fe(y)^2 - y fo(y)^2) has roots
     alpha^2.  Sign chosen to keep g monic.
@@ -119,16 +121,16 @@ def search_degree(d: int, chunk: int = 1 << 19) -> tuple[float, tuple[int, ...]]
     refined = []
     for coeffs in survivors:
         ok = True
-        g = list(coeffs)
+        g = IntPoly(coeffs)
         power = 2
         for _ in range(2):
             power *= 2
-            g = graeffe_int(g)
+            g = graeffe(g)
             lim = tau**power
-            if any(abs(c) > math.comb(d, d - i) * lim for i, c in enumerate(g[:-1])):
+            if any(abs(c) > math.comb(d, d - i) * lim for i, c in enumerate(g.coeffs[:-1])):
                 ok = False
                 break
-            if abs(sum(g)) > 2**d * lim or abs(sum(c if i % 2 == 0 else -c for i, c in enumerate(g))) > 2**d * lim:
+            if abs(g(1)) > 2**d * lim or abs(g(-1)) > 2**d * lim:
                 ok = False
                 break
         if ok:
@@ -142,22 +144,6 @@ def search_degree(d: int, chunk: int = 1 << 19) -> tuple[float, tuple[int, ...]]
             if len(fac.factors) == 1 and fac.factors[0][1] == 1 and cyclotomic_tag(f) is None:
                 best = (m, coeffs)
     return best
-
-
-def graeffe_int(coeffs: list[int]) -> list[int]:
-    d = len(coeffs) - 1
-    fe = coeffs[0::2]
-    fo = coeffs[1::2]
-    out = [0] * (d + 1)
-    for i, a in enumerate(fe):
-        for j, b in enumerate(fe):
-            out[i + j] += a * b
-    for i, a in enumerate(fo):
-        for j, b in enumerate(fo):
-            out[i + j + 1] -= a * b
-    if d % 2 == 1:
-        out = [-c for c in out]
-    return out
 
 
 def main() -> None:

@@ -99,14 +99,20 @@ def cyclotomic(m: int) -> IntPoly:
     return f
 
 
+@lru_cache(maxsize=None)
+def _phi_fiber(d: int) -> tuple[int, ...]:
+    return tuple(m for m in range(1, 2 * d * d + 3) if euler_phi(m) == d)
+
+
 def phi_inverse(d: int) -> list[int]:
     """All m with euler_phi(m) = d, ascending.
 
     phi(m) >= sqrt(m/2) for every m, so the search stops at 2 d^2 + 2.
+    Fibers are cached per d; each call gets its own list.
     """
     if d < 1:
         return []
-    return [m for m in range(1, 2 * d * d + 3) if euler_phi(m) == d]
+    return list(_phi_fiber(d))
 
 
 def cyclotomic_tag(f: IntPoly) -> Optional[int]:

@@ -16,7 +16,9 @@ Two modes:
 
 All constants are stored as exact rational LOWER bounds on log2 of the
 measure, so dividing an exact rational upper bound on log2 M(alpha) by
-them can only overestimate E.
+them can only overestimate E.  The upper bound is intpoly.log_mahler_upper:
+Landau's M(g) <= ||g||_2 on the Graeffe iterates g = G^k f, where
+M(G^k f) = M(f)^(2^k), all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def m_min_log2(d: int, mode: BoundMode) -> Fraction:
 def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     """B with E(root of f) <= B, for irreducible non-cyclotomic f, deg >= 2.
 
-    E <= log2 M(f) / log2(minimal measure at deg f); the numerator comes
-    from Landau's inequality, exactly.
+    E <= log2 M(f) / log2(minimal measure at deg f); the numerator is the
+    exact Graeffe-Landau upper bound of log_mahler_upper.
     """
     d = f.degree
     if not isinstance(d, int) or d < 2:

@@ -24,6 +24,7 @@ of the deflation used by the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import divisors, prime_power
 from .intpoly import IntPoly
@@ -73,13 +74,15 @@ def _prime_of(q: int) -> int:
     return pk[0]
 
 
-def _run_power(lam: int, q: int, p: int) -> list[int]:
-    # (1 + t + ... + t^(lam-1))^(q-1) over F_p
+@lru_cache(maxsize=None)
+def _run_power(lam: int, q: int, p: int) -> tuple[int, ...]:
+    # (1 + t + ... + t^(lam-1))^(q-1) over F_p; the same few (lam, q, p)
+    # recur for every screened polynomial, hence the cache
     out = [1]
     base = [1 % p] * lam
     for _ in range(q - 1):
         out = gfp_mul(out, base, p)
-    return out
+    return tuple(out)
 
 
 def _poly_pow(f: list[int], e: int, p: int) -> list[int]:

@@ -1,12 +1,14 @@
 """The free-period factorization condition: E values, caps, witnesses."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeperiod import (
     BoundMode,
+    Candidate,
     EValue,
     IntPoly,
     construct_witness,
@@ -20,6 +22,7 @@ from freeperiod import (
     nth_power_product,
     parse_poly,
     power_index,
+    prime_bound,
     profile_from_factors,
     rational_power_index,
     rotation_product_deflated,
@@ -108,6 +111,18 @@ def test_e_of_irreducible_other_cases():
     assert [e_of_irreducible(g).e for g in k14_factors] == [2, 2]
     with pytest.raises(ValueError):
         e_of_irreducible(IntPoly.x())
+
+
+def test_e_of_irreducible_rigorous_degree_20_is_quick():
+    # candidate (20,16,12,10,8,4,0): Landau's bound of 79 sent the rigorous
+    # search into a degree-1220 inflation at p = 61; Graeffe iterates cap it
+    f = Candidate.from_gap_set(10, frozenset({16, 12})).poly
+    assert f.degree == 20 and factor_over_z(f).factors == ((f, 1),)
+    assert prime_bound(f, BoundMode.RIGOROUS) <= 39
+    start = time.monotonic()
+    ev = e_of_irreducible.__wrapped__(f, BoundMode.RIGOROUS)  # uncached
+    assert time.monotonic() - start < 10.0
+    assert ev == EValue.finite(1)
 
 
 # -- profiles and caps -----------------------------------------------------

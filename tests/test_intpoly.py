@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeperiod import IntPoly, content_primitive, format_poly, parse_poly
+from freeperiod.intpoly import graeffe
 
 polys = st.builds(
     lambda cs: IntPoly(tuple(cs)),
@@ -174,3 +175,13 @@ def test_derivative_product_rule(f, x):
     lhs = (f * g).derivative()
     rhs = f.derivative() * g + f * g.derivative()
     assert lhs == rhs
+
+
+@given(polys)
+def test_graeffe_squares_the_roots(f):
+    # G(f)(t^2) = (-1)^d f(t) f(-t), so G has the squared roots of f
+    f_neg = IntPoly(tuple((-1) ** i * a for i, a in enumerate(f.coeffs)))
+    g = graeffe(f)
+    sign = -1 if len(f.coeffs) % 2 == 0 else 1
+    assert g.inflate(2) == f * f_neg * sign
+    assert g.degree == f.degree and g.lc == f.lc ** 2

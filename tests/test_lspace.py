@@ -1,6 +1,7 @@
 """Candidate enumeration and the survey pipeline."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -185,6 +186,14 @@ def test_survey_is_deterministic_and_jobs_invariant():
     forked = survey(5, jobs=3)
     assert first == again == forked
     assert first.to_json() == again.to_json() == forked.to_json()
+
+
+def test_survey_8_golden_hash():
+    # pinned before the Graeffe prime bound and the cyclotomic caches; every
+    # later speed-up must leave the heuristic report byte-identical
+    digest = hashlib.sha256(survey(8).to_json().encode()).hexdigest()
+    assert digest == ("082a87894ae7c4eee1412d28e753794a"
+                      "82a350319f665a48b7d837897d95d830")
 
 
 def test_survey_mode_is_recorded():

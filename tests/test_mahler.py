@@ -81,13 +81,42 @@ def test_log_mahler_upper_is_an_upper_bound(cs):
     assert numeric_log2_measure(f) <= float(log_mahler_upper(f)) + 1e-9
 
 
+def landau_log2_upper(f: IntPoly) -> Fraction:
+    """log2 of Landau's M(f) <= ||f||_2 alone, no Graeffe iterates."""
+    return Fraction((f.l2_norm_sq() ** 64).bit_length(), 128)
+
+
 def test_prime_bound_frozen_values():
+    # Graeffe-Landau values; Landau's bound on f alone gave 3/1 and 7/2
     golden = IntPoly((-1, -1, 1))
-    assert prime_bound(golden, BoundMode.HEURISTIC) == 3
-    assert prime_bound(golden, BoundMode.RIGOROUS) == 1
     fig8 = IntPoly((1, -3, 1))
-    assert prime_bound(fig8, BoundMode.HEURISTIC) == 7
-    assert prime_bound(fig8, BoundMode.RIGOROUS) == 2
+    cases = [(golden, BoundMode.HEURISTIC, 2), (golden, BoundMode.RIGOROUS, 1),
+             (fig8, BoundMode.HEURISTIC, 5), (fig8, BoundMode.RIGOROUS, 2)]
+    for f, mode, value in cases:
+        bound = prime_bound(f, mode)
+        assert bound == value
+        # sound: no smaller than the bound from the numeric measure
+        measured = numeric_log2_measure(f) / float(m_min_log2(f.degree, mode))
+        assert bound >= math.floor(measured)
+        # never looser than Landau's bound on f itself
+        landau = landau_log2_upper(f) / m_min_log2(f.degree, mode)
+        assert bound <= max(1, math.floor(landau))
+
+
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1,
+                max_size=8).filter(lambda cs: any(cs)))
+def test_log_mahler_upper_never_exceeds_landau(cs):
+    f = IntPoly(tuple(cs))
+    assert log_mahler_upper(f) <= landau_log2_upper(f)
+
+
+@pytest.mark.parametrize("f", [IntPoly((-1, 1)) ** 6, IntPoly((1, 1)) ** 7,
+                               cyclotomic(5) ** 3])
+def test_log_mahler_upper_on_repeated_unit_roots(f):
+    # M = 1: the bound stays above 0 but the Graeffe iterates bring it close
+    q = log_mahler_upper(f)
+    assert 0 < q < Fraction(1, 4)
+    assert numeric_log2_measure(f) <= float(q) - 0.05
 
 
 def test_prime_bound_rigorous_never_looser():

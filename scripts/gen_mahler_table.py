@@ -117,11 +117,12 @@ def search_degree(d: int, chunk: int = 1 << 19) -> tuple[float, tuple[int, ...]]
         mask &= (np.abs(s) <= e1) & (np.abs(salt) <= e1)
         for row in np.nonzero(mask)[0]:
             survivors.append(tuple(int(c[row]) for c in cols))
-    # exact Graeffe refinement, two more rounds
+    # exact Graeffe refinement, two more rounds: G^k f against tau^(2^k)
+    # for k = 2, 3 (the numpy pass above already held G^1 f to tau^2)
     refined = []
     for coeffs in survivors:
         ok = True
-        g = IntPoly(coeffs)
+        g = graeffe(IntPoly(coeffs))
         power = 2
         for _ in range(2):
             power *= 2

@@ -99,6 +99,12 @@ def rational_power_index(numerator: int, denominator: int) -> EValue:
 # -- power-residue screen --------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _aux_primes(pr: int) -> tuple[int, ...]:
+    """Primes q = 1 mod pr below the residue screen's search limit, ascending."""
+    return tuple(q for q in range(pr + 1, 200 * pr + 2000, pr) if is_prime(q))
+
+
 def _power_residue_reject(f: IntPoly, p: int, r: int, tries: int = 4) -> bool:
     """True when some auxiliary prime PROVES the root is not a p^r-th power.
 
@@ -113,11 +119,11 @@ def _power_residue_reject(f: IntPoly, p: int, r: int, tries: int = 4) -> bool:
     """
     pr = p**r
     passes = 0
-    q = pr + 1
-    limit = 200 * pr + 2000
     f0 = f[0]
-    while passes < tries and q < limit:
-        if is_prime(q) and f0 % q:
+    for q in _aux_primes(pr):
+        if passes >= tries:
+            break
+        if f0 % q:
             fbar = reduce_mod_p(f.coeffs, q)
             xs = np.arange(q, dtype=np.int64)
             vals = np.zeros_like(xs)
@@ -131,7 +137,6 @@ def _power_residue_reject(f: IntPoly, p: int, r: int, tries: int = 4) -> bool:
                 if pow(x, (q - 1) // pr, q) != 1:
                     return True
                 passes += 1
-        q += pr
     return False
 
 

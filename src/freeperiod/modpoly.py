@@ -4,8 +4,13 @@ Coefficient vectors are plain Python lists of residues in [0, p), ascending,
 trimmed.  The multiplication and division kernels switch between three
 strategies: schoolbook for short operands, numpy int64 convolution while
 (p-1)^2 * min(len) stays below 2^62, and Kronecker substitution (packing
-into one big integer) beyond that.  Equal-degree splitting is randomized
-but seeded from a hash of the input, so factorizations are reproducible.
+into one big integer) beyond that.  The distinct-degree split uses the
+Frobenius map h -> h^p, which is F_p-linear: it builds the matrix Q of
+x^(ip) mod v once per input (Berlekamp's Q-matrix) and then advances one
+degree per numpy product h @ Q, in place of repeated squaring (von zur
+Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree splitting is
+randomized but seeded from a hash of the input, so factorizations are
+reproducible.
 """
 
 from __future__ import annotations
@@ -275,19 +280,54 @@ def _sqfree_parts_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _frobenius_matrix(v: list[int], p: int, dtype) -> np.ndarray:
+    """Q with rows x^(i p) mod v for i < deg v, so that h^p mod v = h @ Q.
+
+    Row i is row i-1 times x^p mod v.  With m = deg(x^p mod v), which is
+    p itself when p < n, that product spills m coefficients past degree
+    n - 1; they fold back through a table of x^(n+k) mod v for k < m, so
+    each row costs O(m n).
+    """
+    n = len(v) - 1
+    xp = np.array(gfp_powmod([0, 1], p, v, p), dtype=dtype)
+    low = np.array(v[:n], dtype=dtype)
+    spill = np.zeros((len(xp) - 1, n), dtype=dtype)
+    row = -low % p  # x^n mod v
+    for k in range(len(spill)):
+        spill[k] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
+    q = np.zeros((n, n), dtype=dtype)
+    q[0, 0] = 1
+    for i in range(1, n):
+        c = np.convolve(q[i - 1], xp) % p
+        q[i] = (c[:n] + c[n:] @ spill[: len(c) - n]) % p
+    return q
+
+
 def distinct_degree_split(v: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split monic squarefree v into (product of degree-d irreducibles, d)."""
+    """Split monic squarefree v into (product of degree-d irreducibles, d).
+
+    h = x^(p^d) mod v advances one Frobenius step per degree as h @ Q
+    (see _frobenius_matrix); h stays reduced modulo the input v, and
+    gcd(h - x, v) reduces it modulo the shrinking cofactor.  Entries stay
+    below (p-1)^2 n, so int64 serves while that fits and exact Python
+    integers (dtype=object) beyond.
+    """
     parts: list[tuple[list[int], int]] = []
-    h = gfp_mod([0, 1], v, p)
+    n = len(v) - 1
     d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = gfp_powmod(h, p, v, p)
-        g = gfp_gcd(gfp_sub(h, [0, 1], p), v, p)
-        if len(g) > 1:
-            parts.append((g, d))
-            v = gfp_divmod(v, g, p)[0]
-            h = gfp_mod(h, v, p)
+    if n >= 2:
+        dtype = np.int64 if (p - 1) * (p - 1) * n < _NUMPY_LIMIT else object
+        q = _frobenius_matrix(v, p, dtype)
+        h = np.zeros(n, dtype=dtype)
+        h[1] = 1
+        while len(v) - 1 >= 2 * (d + 1):
+            d += 1
+            h = h @ q % p
+            g = gfp_gcd(gfp_sub(_trim(h.tolist()), [0, 1], p), v, p)
+            if len(g) > 1:
+                parts.append((g, d))
+                v = gfp_divmod(v, g, p)[0]
     if len(v) > 1:
         parts.append((v, len(v) - 1))
     return parts

@@ -188,12 +188,20 @@ def test_survey_is_deterministic_and_jobs_invariant():
     assert first.to_json() == again.to_json() == forked.to_json()
 
 
-def test_survey_8_golden_hash():
-    # pinned before the Graeffe prime bound and the cyclotomic caches; every
-    # later speed-up must leave the heuristic report byte-identical
-    digest = hashlib.sha256(survey(8).to_json().encode()).hexdigest()
-    assert digest == ("082a87894ae7c4eee1412d28e753794a"
-                      "82a350319f665a48b7d837897d95d830")
+@pytest.mark.parametrize("mode,expected", [
+    # pinned before the Graeffe prime bound and the cyclotomic caches
+    pytest.param(BoundMode.HEURISTIC,
+                 "082a87894ae7c4eee1412d28e753794a82a350319f665a48b7d837897d95d830",
+                 id="heuristic"),
+    # pinned before the Frobenius-matrix distinct-degree split
+    pytest.param(BoundMode.RIGOROUS,
+                 "3a509b09a8755fcdf3415b61b64eed04cddf1fa9b7c2350e434f1667d8f3619a",
+                 id="rigorous"),
+])
+def test_survey_8_golden_hash(mode, expected):
+    # every later speed-up must leave both reports byte-identical
+    digest = hashlib.sha256(survey(8, mode).to_json().encode()).hexdigest()
+    assert digest == expected
 
 
 def test_survey_mode_is_recorded():

@@ -1,14 +1,16 @@
 """Arithmetic and factorization over prime fields."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod.modpoly import (
+    _NUMPY_LIMIT,
     ModPoly,
     ddf_degree_multiset,
     distinct_degree_split,
     factor_mod_p,
     factor_squarefree_mod_p,
+    gfp_deriv,
     gfp_divmod,
     gfp_eval,
     gfp_extgcd,
@@ -16,6 +18,7 @@ from freeperiod.modpoly import (
     gfp_mod,
     gfp_mul,
     gfp_powmod,
+    gfp_sub,
     is_prime,
     next_prime,
     reduce_mod_p,
@@ -195,3 +198,64 @@ def test_squarefree_factor_count():
     # product of all monic linear polynomials mod 3: t^3 - t
     parts = factor_squarefree_mod_p([0, 2, 0, 1], 3)
     assert sorted(parts) == [[0, 1], [1, 1], [2, 1]]
+
+
+def reference_distinct_degree_split(v, p):
+    """Distinct-degree split by repeated squaring: h <- h^p mod v per degree."""
+    parts = []
+    h = gfp_mod([0, 1], v, p)
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = gfp_powmod(h, p, v, p)
+        g = gfp_gcd(gfp_sub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            parts.append((g, d))
+            v = gfp_divmod(v, g, p)[0]
+            h = gfp_mod(h, v, p)
+    if len(v) > 1:
+        parts.append((v, len(v) - 1))
+    return parts
+
+
+def _is_squarefree(f, p):
+    return len(gfp_gcd(f, gfp_deriv(f, p), p)) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PRIMES),
+       st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=40))
+def test_distinct_degree_split_matches_repeated_squaring(p, low):
+    f = [c % p for c in low] + [1]
+    assume(_is_squarefree(f, p))
+    expected = reference_distinct_degree_split(f, p)
+    assert distinct_degree_split(f, p) == expected
+    # the full split: irreducible monic factors whose degrees are the blocks'
+    factors = factor_squarefree_mod_p(f, p)
+    prod = [1]
+    for g in factors:
+        assert g[-1] == 1
+        assert reference_distinct_degree_split(g, p) == [(g, len(g) - 1)]
+        prod = gfp_mul(prod, g, p)
+    assert prod == f
+    assert sorted(len(g) - 1 for g in factors) == sorted(
+        d for part, d in expected for _ in range((len(part) - 1) // d))
+
+
+def test_distinct_degree_split_wide_prime_uses_exact_integers():
+    # (p-1)^2 deg f overflows int64 products, so the Frobenius matrix is
+    # carried as Python integers
+    p = 2**31 - 1
+    f = [1]
+    for g in ([3, 1], [p - 5, 1], [7, 0, 1], [11, 13, 0, 1], [2, 0, 0, 0, 5, 1]):
+        f = gfp_mul(f, g, p)
+    assert (p - 1) ** 2 * (len(f) - 1) >= _NUMPY_LIMIT
+    assert _is_squarefree(f, p)
+    blocks = distinct_degree_split(f, p)
+    assert blocks == reference_distinct_degree_split(f, p)
+    prod = [1]
+    for part, _ in blocks:
+        prod = gfp_mul(prod, part, p)
+    assert prod == f
+    factors = factor_squarefree_mod_p(f, p)
+    assert [len(g) - 1 for g in factors] == ddf_degree_multiset(f, p)

@@ -105,8 +105,15 @@ def _aux_primes(pr: int) -> tuple[int, ...]:
     return tuple(q for q in range(pr + 1, 200 * pr + 2000, pr) if is_prime(q))
 
 
-def _power_residue_reject(f: IntPoly, p: int, r: int, tries: int = 4) -> bool:
-    """True when some auxiliary prime PROVES the root is not a p^r-th power.
+def _screen_tries(pr: int) -> int:
+    # square testing sees the weakest screen (each aux prime passes half
+    # the time), so it gets proportionally more auxiliary primes
+    return 8 if pr == 2 else 4
+
+
+def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
+    """The p^r in levels for which some auxiliary prime PROVES that the
+    root is not a p^r-th power; levels maps each p^r to its tries.
 
     Works at degree-1 primes of Q(alpha): a simple root x of f mod q is
     nonzero (q does not divide f(0)) and Hensel-lifts to a root in Z_q,
@@ -116,28 +123,59 @@ def _power_residue_reject(f: IntPoly, p: int, r: int, tries: int = 4) -> bool:
     x^((q-1)/p^r) != 1 is a sound rejection.  Passes prove nothing (the
     caller still certifies positives), and primes where f has no simple
     root are skipped without counting.
+
+    Each p^r walks its own _aux_primes(p^r) in ascending order, counting
+    one pass per simple root that is a residue, and stops once its passes
+    reach its tries.  The walks advance in lockstep: each round evaluates
+    f at every residue of every live walk's next q in one Horner pass over
+    the concatenated ranges, with a per-element modulus, so a round costs
+    the same numpy calls however many walks it carries.  Coefficients are
+    reduced mod q as Python ints first, since f may exceed int64.
     """
-    pr = p**r
-    passes = 0
-    f0 = f[0]
-    for q in _aux_primes(pr):
-        if passes >= tries:
-            break
-        if f0 % q:
-            fbar = reduce_mod_p(f.coeffs, q)
-            xs = np.arange(q, dtype=np.int64)
-            vals = np.zeros_like(xs)
-            for c in reversed(fbar):
-                vals = (vals * xs + c) % q
-            dbar = gfp_deriv(fbar, q)
-            for x in np.nonzero(vals == 0)[0]:
-                x = int(x)
-                if gfp_eval(dbar, x, q) == 0:
-                    continue
-                if pow(x, (q - 1) // pr, q) != 1:
-                    return True
-                passes += 1
-    return False
+    coeffs = f.coeffs
+    f0 = coeffs[0]
+    walks = {pr: [iter(_aux_primes(pr)), 0] for pr in levels}  # [qs, passes]
+    rejected: set[int] = set()
+    while True:
+        batch: list[tuple[int, int, list[int]]] = []  # (p^r, q, f mod q)
+        for pr, (qs, passes) in list(walks.items()):
+            q = next((q for q in qs if f0 % q), None) if passes < levels[pr] else None
+            if q is None:
+                del walks[pr]
+            else:
+                batch.append((pr, q, reduce_mod_p(coeffs, q)))
+        if not batch:
+            return rejected
+        sizes = np.array([q for _, q, _ in batch], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(len(batch)), sizes)
+        mods = sizes[owner]
+        xs = np.arange(int(sizes.sum()), dtype=np.int64) - starts[owner]
+        # row k holds coefficient k of every walk's f mod q; each Horner
+        # step gathers one row out to the elements
+        table = np.zeros((len(coeffs), len(batch)), dtype=np.int64)
+        for w, (_, _, fbar) in enumerate(batch):
+            table[: len(fbar), w] = fbar
+        vals = np.zeros_like(xs)
+        for row in table[::-1]:
+            vals = (vals * xs + row[owner]) % mods
+        zeros = np.nonzero(vals == 0)[0]
+        starts = starts.tolist()
+        derivs: dict[int, list[int]] = {}
+        for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
+            pr, q, fbar = batch[w]
+            if pr in rejected:
+                continue
+            x = i - starts[w]
+            if w not in derivs:
+                derivs[w] = gfp_deriv(fbar, q)
+            if gfp_eval(derivs[w], x, q) == 0:
+                continue
+            if pow(x, (q - 1) // pr, q) != 1:
+                rejected.add(pr)
+                del walks[pr]
+            else:
+                walks[pr][1] += 1
 
 
 # -- the power test --------------------------------------------------------
@@ -148,8 +186,9 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
 
     Monotone in r (a p^(r+1)-th power is a p^r-th power), so the loop stops
     at the first failure.  Each level tries the cheap sound rejections
-    (power residues, then mod-p factor degree sums) before committing to a
-    full factorization.  Requires f irreducible, primitive, non-cyclotomic,
+    (the power-residue screen _power_residue_rejects with the single entry
+    p^r, then mod-p factor degree sums) before committing to a full
+    factorization.  Requires f irreducible, primitive, non-cyclotomic,
     degree >= 2.
     """
     if not is_prime(p):
@@ -158,11 +197,10 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     r = 0
     while max_r is None or r < max_r:
         rn = r + 1
-        # square testing sees the weakest screen (each aux prime passes
-        # half the time), so it gets proportionally more auxiliary primes
-        if _power_residue_reject(f, p, rn, tries=8 if p**rn == 2 else 4):
+        pr = p**rn
+        if _power_residue_rejects(f, {pr: _screen_tries(pr)}):
             break
-        infl = f.inflate(p**rn)
+        infl = f.inflate(pr)
         if not degree_set_filter(infl, d, trials=2):
             break
         fac = factor_over_z(infl)
@@ -179,7 +217,9 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
     Cyclotomic factors get the zero marker; degree 1 goes through rational
     arithmetic; otherwise E multiplies p^power_index(f, p) over primes up
     to the Mahler prime bound and the result is certified by re-checking
-    that f(t^E) has a factor of degree deg f.
+    that f(t^E) has a factor of degree deg f.  One lockstep residue screen
+    first tests every such p at level 1, and power_index runs only for the
+    p it does not reject (r = 0 for the rest).
     """
     d = f.degree
     m = cyclotomic_tag(f)
@@ -190,15 +230,20 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
             raise ValueError("t has no power invariant; strip it first")
         return rational_power_index(-f[0], f[1])
     bound = prime_bound(f, mode)
-    e = 1
+    primes = []
     p = 2
     while p <= bound:
+        primes.append(p)
+        p = next_prime(p)
+    rejected = _power_residue_rejects(f, {p: _screen_tries(p) for p in primes})
+    e = 1
+    for p in primes:
+        if p in rejected:
+            continue
         max_r = 0
         while p ** (max_r + 1) <= bound:
             max_r += 1
-        r = power_index(f, p, max_r=max_r)
-        e *= p**r
-        p = next_prime(p)
+        e *= p ** power_index(f, p, max_r=max_r)
     if e > 1:
         fac = factor_over_z(f.inflate(e))
         if not any(g.degree == d for g, _ in fac.factors):

@@ -16,9 +16,11 @@ Degree bookkeeping bounds the search: deg Delta >= q*deg D + (q-1)(lam-1),
 so lam ranges over (lam-1)(q-1) <= deg Delta.  For fixed (lam, a, sign) the
 candidate D is unique when it exists: divide sign*Delta mod p by
 t^a * (1+...+t^(lam-1))^(q-1), demand zero remainder and quotient support
-inside q*Z, and deflate.  Hits are re-verified by multiplying D(t)^q back
-out, which exercises the Frobenius identity D(t)^q = D(t^q) mod p instead
-of the deflation used by the solver.
+inside q*Z, and deflate.  The run power has constant term 1, so the
+division runs from the low end and abandons (lam, a, sign) at the first
+quotient coefficient off q*Z.  Hits are re-verified by multiplying D(t)^q
+back out, which exercises the Frobenius identity D(t)^q = D(t^q) mod p
+instead of the deflation used by the solver.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 from .cyclotomic import divisors, prime_power
 from .intpoly import IntPoly
-from .modpoly import gfp_divmod, gfp_mul, reduce_mod_p
+from .modpoly import gfp_mul, reduce_mod_p
 from .zfactor import FactoredPoly, factor_over_z
 
 
@@ -97,6 +99,33 @@ def _poly_pow(f: list[int], e: int, p: int) -> list[int]:
     return out
 
 
+def _lattice_quotient(a: list[int], shape: tuple[int, ...], q: int,
+                      p: int) -> list[int] | None:
+    """a / shape in F_p[t] when the division is exact and the quotient is
+    supported on multiples of q, else None.
+
+    shape[0] == 1 (it is a power of 1 + t + ... + t^(lam-1)), so the
+    division runs from the low end with no inverse and stops at the first
+    quotient coefficient off the multiples of q; the top len(shape) - 1
+    coefficients of a are checked exactly at the end.
+    """
+    n = len(a) - len(shape) + 1
+    if n <= 0:
+        return None
+    rem = list(a)
+    quo = [0] * n
+    for k in range(n):
+        c = rem[k]
+        if c:
+            if k % q:
+                return None
+            quo[k] = c
+            for j, s in enumerate(shape):
+                if s:
+                    rem[k + j] = (rem[k + j] - c * s) % p
+    return None if any(rem[n:]) else quo
+
+
 def verify_hit(delta: IntPoly, hit: MurasugiHit) -> bool:
     """Recheck a hit's congruence by direct multiplication in F_p[t]."""
     p = _prime_of(hit.q)
@@ -155,10 +184,8 @@ def murasugi_screen(delta: IntPoly, q: int, *,
         while (lam - 1) * (q - 1) <= deg:
             shape = _run_power(lam, q, p)
             for shift in range(ord0 % q, ord0 + 1, q):
-                quo, rem = gfp_divmod(target[shift:], shape, p)
-                if any(rem):
-                    continue
-                if any(c and i % q for i, c in enumerate(quo)):
+                quo = _lattice_quotient(target[shift:], shape, q, p)
+                if quo is None:
                     continue
                 d_bar = quo[::q]
                 if sum(d_bar) % p not in (1, p - 1):

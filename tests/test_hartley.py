@@ -3,8 +3,9 @@
 import math
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from freeperiod import (
     BoundMode,
@@ -28,6 +29,8 @@ from freeperiod import (
     rotation_product_deflated,
     verify_witness,
 )
+from freeperiod.hartley import _aux_primes, _power_residue_rejects
+from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from polys import FIG8, GOLDEN, K14, TREFOIL
 
 INF = float("inf")
@@ -91,6 +94,104 @@ def test_power_index_respects_max_r():
 def test_power_index_composite_p_rejected():
     with pytest.raises(ValueError):
         power_index(FIG8, 4)
+
+
+# -- the power-residue screen ----------------------------------------------
+
+
+def reference_residue_reject(f: IntPoly, pr: int, tries: int) -> bool:
+    """One p^r at a time, one numpy evaluation of f per auxiliary prime."""
+    passes = 0
+    for q in _aux_primes(pr):
+        if passes >= tries:
+            break
+        if f[0] % q:
+            fbar = reduce_mod_p(f.coeffs, q)
+            xs = np.arange(q, dtype=np.int64)
+            vals = np.zeros_like(xs)
+            for c in reversed(fbar):
+                vals = (vals * xs + c) % q
+            dbar = gfp_deriv(fbar, q)
+            for x in np.nonzero(vals == 0)[0]:
+                x = int(x)
+                if gfp_eval(dbar, x, q) == 0:
+                    continue
+                if pow(x, (q - 1) // pr, q) != 1:
+                    return True
+                passes += 1
+    return False
+
+
+SCREEN_PRIMES = [p for p in range(2, 61) if is_prime(p)]
+SCREEN_LEVELS = [
+    {p: 8 if p == 2 else 4 for p in SCREEN_PRIMES},
+    {p: 2 for p in SCREEN_PRIMES},
+    {4: 4, 8: 4, 9: 4, 25: 4},
+    {2: 1, 3: 2, 4: 3, 5: 1, 8: 2, 9: 1, 25: 2, 7: 5},
+]
+
+
+def _reference_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
+    return {pr for pr, tries in levels.items() if reference_residue_reject(f, pr, tries)}
+
+
+def _irreducible(f: IntPoly) -> bool:
+    return factor_over_z(f).factors == ((f, 1),)
+
+
+@st.composite
+def screen_polys(draw):
+    """Irreducible primitive f of degree 2..14, palindromic or not."""
+    coeff = st.integers(min_value=-4, max_value=4)
+    lead = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        half = [lead] + draw(st.lists(coeff, min_size=1, max_size=6))
+        middle = [] if draw(st.booleans()) else [draw(coeff)]
+        cs = half + middle + half[::-1]
+    else:
+        const = draw(st.integers(min_value=1, max_value=4)) * draw(st.sampled_from([1, -1]))
+        cs = [const] + draw(st.lists(coeff, min_size=1, max_size=11)) + [lead]
+    f = IntPoly(tuple(cs))
+    assume(_irreducible(f))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(screen_polys(), st.sampled_from(SCREEN_LEVELS))
+# two passing roots mod one q end the walk at 2 at tries 2; the next q rejects
+@example(parse_poly("2t^10 - 2t^9 + 3t^8 + t^7 + 4t^6 + 2t^5 + 2t^4 - 2t^3 + t^2 + 3"),
+         SCREEN_LEVELS[1])
+def test_batched_residue_screen_matches_per_prime_loop(f, levels):
+    assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(screen_polys(), st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+def test_residue_screen_never_rejects_a_true_power(g, pr):
+    # R(x) = lc^pr * prod (x - beta^pr); when R is irreducible its root
+    # beta^pr generates Q(beta), so it is a p^r-th power in its own field
+    fac = factor_over_z(rotation_product_deflated(g, pr))
+    assume(len(fac.factors) == 1 and fac.factors[0][1] == 1)
+    f = fac.factors[0][0]
+    levels = {pr: 16, **{p: 4 for p in (2, 3, 5, 7, 11) if p != pr}}
+    assert pr not in _power_residue_rejects(f, levels)
+
+
+def test_residue_screen_reduces_wide_coefficients_first():
+    big = 2**64 + 13
+    for f in (IntPoly((big + 2, -3 * big, 5, 1)),
+              IntPoly((7, 3**45, -(2**70), 3**45, 7)),
+              FIG8 * IntPoly((big, 1)) + IntPoly((1,))):
+        assert max(abs(c) for c in f.coeffs) > 2**63
+        for levels in SCREEN_LEVELS:
+            assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
+
+
+def test_residue_screen_vectors():
+    # phi^2 passes at 2 (square of phi) and fails at 3; phi passes nothing
+    assert _power_residue_rejects(FIG8, {2: 8, 3: 4, 5: 4}) == {3, 5}
+    assert _power_residue_rejects(GOLDEN, {2: 8, 3: 4}) == {2, 3}
+    assert _power_residue_rejects(FIG8, {}) == set()
 
 
 def test_e_of_irreducible_golden_powers():

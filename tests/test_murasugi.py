@@ -1,6 +1,7 @@
 """Murasugi congruence screen: paper vectors, completeness, verification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeperiod import (
     IntPoly,
@@ -13,7 +14,8 @@ from freeperiod import (
     verify_hit,
 )
 from freeperiod.cyclotomic import prime_power
-from freeperiod.modpoly import reduce_mod_p
+from freeperiod.modpoly import gfp_divmod, reduce_mod_p
+from freeperiod.murasugi import _run_power
 
 from polys import D26, D30, FIG8, K14, TREFOIL
 
@@ -92,6 +94,61 @@ def _brute_force(delta, q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_screen_is_complete(delta, q):
     assert as_tuples(murasugi_screen(delta, q)) == _brute_force(delta, q)
+
+
+def full_division_solutions(delta, q):
+    """The solver's (lam, shift, sign, D) in report order, found by a full
+    division for every (sign, lam, shift) with the checks made afterwards."""
+    p = prime_power(q)[0]
+    dbar = reduce_mod_p(delta, p)
+    ord0 = next(i for i, c in enumerate(dbar) if c)
+    raw = []
+    for sign in (1,) if p == 2 else (1, -1):
+        target = dbar if sign > 0 else [-c % p for c in dbar]
+        lam = 1
+        while (lam - 1) * (q - 1) <= int(delta.degree):
+            shape = list(_run_power(lam, q, p))
+            for shift in range(ord0 % q, ord0 + 1, q):
+                quo, rem = gfp_divmod(target[shift:], shape, p)
+                if any(rem) or any(c and i % q for i, c in enumerate(quo)):
+                    continue
+                d_bar = quo[::q]
+                if sum(d_bar) % p in (1, p - 1):
+                    raw.append((lam, shift, sign, tuple(d_bar)))
+            lam += 1
+    return sorted(raw, key=lambda r: (r[0], r[1], -r[2], r[3]))
+
+
+def _in_order(hits):
+    return [(h.lam, h.shift, h.sign, tuple(h.quotient)) for h in hits]
+
+
+@st.composite
+def alexander_shaped(draw):
+    """Palindromic, nonzero at 0, value 1 at 1; the ends may share a prime."""
+    end = draw(st.integers(min_value=1, max_value=6))
+    inner = draw(st.lists(st.integers(min_value=-5, max_value=5), max_size=9))
+    half = [end] + inner
+    middle = 1 - 2 * sum(half)
+    return IntPoly(tuple(half + [middle] + half[::-1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(alexander_shaped(), st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+def test_screen_matches_full_division_solver(delta, q):
+    assert _in_order(murasugi_screen(delta, q)) == full_division_solutions(delta, q)
+
+
+@pytest.mark.parametrize("delta,q", [
+    (NONMONIC, 2),                          # non-monic, 2 | Delta(0): shift 1
+    (parse_poly("3t^4 - 3t^3 + t^2 - 3t + 3"), 3),
+    (parse_poly("2t^4 - 4t^3 + 5t^2 - 4t + 2"), 2),
+    (parse_poly("2t^4 - 4t^3 + 5t^2 - 4t + 2"), 4),
+    (K14, 2), (D30, 2), (D26, 2), (D30, 4), (D26, 8),
+])
+def test_screen_matches_full_division_solver_vectors(delta, q):
+    hits = murasugi_screen(delta, q)
+    assert _in_order(hits) == full_division_solutions(delta, q)
 
 
 # -- torus-knot and paper vectors ------------------------------------------

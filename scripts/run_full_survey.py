@@ -53,7 +53,7 @@ def main() -> int:
     print("hartley exceptional:",
           [(r.candidate.genus, r.candidate.exponents)
            for r in report.hartley_exceptional])
-    for q in report._hit_qs():
+    for q in report.hit_qs():
         qualified = report.murasugi_exceptional(q)
         bare = report.murasugi_exceptional(q, require_divides=False)
         print(f"murasugi q={q}: {len(qualified)} divides-qualified "

@@ -389,11 +389,9 @@ def murasugi(poly, poly_file, mode, jobs, period, do_all, as_json):
               help="allow the long run past genus 10")
 @click.option("--filters", "filter_names", multiple=True,
               type=click.Choice(["top-gap-1"]))
-@click.option("--seed", type=int, default=None,
-              help="accepted for compatibility; the pipeline is deterministic")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def survey_cmd(mode, max_genus, full, filter_names, seed, jobs, as_json):
+def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json):
     """Survey candidate L-space knot polynomials for periodicity escapes."""
     mode = BoundMode(mode)
     if max_genus > 10 and not full:
@@ -401,7 +399,6 @@ def survey_cmd(mode, max_genus, full, filter_names, seed, jobs, as_json):
             "genus beyond 10 is a long run; pass --full to confirm")
     if max_genus < 1:
         raise click.UsageError("--max-genus must be positive")
-    del seed
     filters = FilterConfig(top_gap_1="top-gap-1" in filter_names)
     report = survey(max_genus, mode, filters, jobs=jobs)
     if as_json:
@@ -414,7 +411,7 @@ def survey_cmd(mode, max_genus, full, filter_names, seed, jobs, as_json):
     for r in hx:
         click.echo(f"  genus {r.candidate.genus}: "
                    f"{format_poly(r.candidate.poly)}")
-    for q in report._hit_qs():
+    for q in report.hit_qs():
         qual = report.murasugi_exceptional(q)
         bare = report.murasugi_exceptional(q, require_divides=False)
         click.echo(f"murasugi q={q}: {len(qual)} divides-qualified"

@@ -51,13 +51,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def moebius(n: int) -> int:
-    f = factorint(n)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """(p, k) with q = p^k, or None when q is not a prime power."""
     if q < 2:

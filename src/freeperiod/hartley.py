@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -420,21 +419,8 @@ class WitnessCertificate:
     verified: bool
 
 
-def _power_sums_monic(coeffs: tuple[Fraction, ...], upto: int) -> list[Fraction]:
-    """Newton power sums s_1..s_upto for a monic polynomial."""
-    d = len(coeffs) - 1
-    s: list[Fraction] = [Fraction(0)] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, d) + 1):
-            acc += coeffs[d - j] * s[k - j]
-        if k <= d:
-            acc += k * coeffs[d - k]
-        s[k] = -acc
-    return s
-
-
-def _power_sums_monic_int(coeffs: tuple[int, ...], upto: int) -> list[int]:
+def _power_sums_monic(coeffs: tuple[int, ...], upto: int) -> list[int]:
+    """Newton power sums s_0..s_upto (s_0 unused) of a monic integer polynomial."""
     d = len(coeffs) - 1
     s = [0] * (upto + 1)
     for k in range(1, upto + 1):
@@ -450,45 +436,36 @@ def _power_sums_monic_int(coeffs: tuple[int, ...], upto: int) -> list[int]:
 def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     """R with prod_{i<n} g(zeta_n^i t) = ((-1)^(n-1))^(deg g) * R(t^n).
 
-    R(x) = lc^n * prod_beta (x - beta^n) over the roots beta of g, built
-    from power sums: the k-th power sum of the beta^n is the (kn)-th power
-    sum of the beta.  Exact integer output; raises on the impossible case
-    of a non-integral coefficient.
+    R(x) = lc^n * prod_beta (x - beta^n) over the roots beta of g.  The
+    monic integer polynomial lc^(d-1) * g(x / lc) has roots lc * beta; the
+    k-th power sum of the (lc * beta)^n is its (kn)-th power sum, and
+    Newton's identities turn those into the elementary symmetric functions
+    e_j of the (lc * beta)^n.  R's coefficient of x^(d-j) is then
+    (-1)^j * e_j * lc^n / lc^(nj).  Exact integer arithmetic; raises on the
+    impossible case of a non-integral coefficient.
     """
     if not g:
         return IntPoly.zero()
     d = g.degree
-    if d == 0:
-        return IntPoly.constant(g.lc**n)
-    if g.lc == 1:
-        s = _power_sums_monic_int(g.coeffs, d * n)
-        pows = [s[k * n] for k in range(1, d + 1)]
-        e: list = [1] + [0] * d
-        for j in range(1, d + 1):
-            acc = 0
-            for i in range(1, j + 1):
-                acc += (-1) ** (i - 1) * e[j - i] * pows[i - 1]
-            q, rem = divmod(acc, j)
-            assert rem == 0
-            e[j] = q
-        coeffs = [(-1) ** j * e[j] for j in range(d + 1)]
-        return IntPoly(tuple(reversed(coeffs)))
     lc = g.lc
-    monic = tuple(Fraction(c, lc) for c in g.coeffs)
+    if d == 0:
+        return IntPoly.constant(lc**n)
+    monic = tuple(c * lc ** (d - 1 - i) for i, c in enumerate(g.coeffs[:d])) + (1,)
     s = _power_sums_monic(monic, d * n)
     pows = [s[k * n] for k in range(1, d + 1)]
-    ef: list[Fraction] = [Fraction(1)] + [Fraction(0)] * d
+    e: list[int] = [1] + [0] * d
     for j in range(1, d + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * ef[j - i] * pows[i - 1]
-        ef[j] = acc / j
+            acc += (-1) ** (i - 1) * e[j - i] * pows[i - 1]
+        q, rem = divmod(acc, j)
+        assert rem == 0
+        e[j] = q
     out = []
-    scale = Fraction(lc) ** n
     for j in range(d + 1):
-        val = scale * (-1) ** j * ef[j]
-        assert val.denominator == 1, "resultant coefficient must be integral"
-        out.append(int(val))
+        val, rem = divmod((-1) ** j * e[j] * lc**n, lc ** (n * j))
+        assert rem == 0, "resultant coefficient must be integral"
+        out.append(val)
     return IntPoly(tuple(reversed(out)))
 
 

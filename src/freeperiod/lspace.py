@@ -259,7 +259,8 @@ class SurveyReport:
         return tuple(r for r in self.records
                      if r.murasugi_hit_at(q, require_divides))
 
-    def _hit_qs(self) -> list[int]:
+    def hit_qs(self) -> list[int]:
+        """Sorted moduli q with at least one Murasugi hit in the report."""
         qs: set[int] = set()
         for r in self.records:
             for h in r.murasugi or ():
@@ -306,10 +307,10 @@ class SurveyReport:
                 "hartley_exceptional": [ident(r) for r in self.hartley_exceptional],
                 "murasugi_exceptional_by_q": {
                     str(q): [ident(r) for r in self.murasugi_exceptional(q)]
-                    for q in self._hit_qs()},
+                    for q in self.hit_qs()},
                 "murasugi_bare_hits_by_q": {
                     str(q): len(self.murasugi_exceptional(q, require_divides=False))
-                    for q in self._hit_qs()},
+                    for q in self.hit_qs()},
             },
             "records": records,
         }

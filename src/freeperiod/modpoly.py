@@ -1,9 +1,14 @@
-"""Polynomial arithmetic and factorization over prime fields F_p.
+"""Polynomial arithmetic over Z/m and factorization over prime fields F_p.
 
-Coefficient vectors are plain Python lists of residues in [0, p), ascending,
-trimmed.  The multiplication and division kernels switch between three
+Coefficient vectors are plain Python lists of residues in [0, m), ascending,
+trimmed.  gfp_mul, gfp_add, gfp_sub, gfp_divmod, gfp_mod and gfp_monic take
+any modulus m, as long as every divisor (and every input to gfp_monic) has
+a leading coefficient that is a unit mod m; Hensel lifting and Zassenhaus
+recombination run on them with m = p^l.  Everything else (gcds, powmod,
+derivative, evaluation, the distinct- and equal-degree splits) needs m
+prime.  The multiplication and division kernels switch between three
 strategies: schoolbook for short operands, numpy int64 convolution while
-(p-1)^2 * min(len) stays below 2^62, and Kronecker substitution (packing
+(m-1)^2 * min(len) stays below 2^62, and Kronecker substitution (packing
 into one big integer) beyond that.  The distinct-degree split uses the
 Frobenius map h -> h^p, which is F_p-linear: it builds the matrix Q of
 x^(ip) mod v once per input (Berlekamp's Q-matrix) and then advances one
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +102,8 @@ def _kron_mul(a: list[int], b: list[int]) -> list[int]:
     return [int.from_bytes(pbuf[i * nbytes : (i + 1) * nbytes], "little") for i in range(out_len)]
 
 
-def gfp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """Product in F_p[t]."""
+def gfp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """Product in (Z/m)[t]."""
     if not a or not b:
         return []
     la, lb = len(a), len(b)
@@ -108,54 +112,54 @@ def gfp_mul(a: list[int], b: list[int], p: int) -> list[int]:
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
+                    out[i + j] = (out[i + j] + ai * bj) % m
         return _trim(out)
-    if (p - 1) * (p - 1) * min(la, lb) < _NUMPY_LIMIT:
-        out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % p
+    if (m - 1) * (m - 1) * min(la, lb) < _NUMPY_LIMIT:
+        out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % m
         return _trim([int(x) for x in out])
-    return _trim([c % p for c in _kron_mul(a, b)])
+    return _trim([c % m for c in _kron_mul(a, b)])
 
 
-def gfp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder in F_p[t]."""
+def gfp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder in (Z/m)[t]; lc(b) must be a unit mod m."""
     if not b:
-        raise ZeroDivisionError("mod-p division by zero polynomial")
+        raise ZeroDivisionError("mod-m division by zero polynomial")
     if len(a) < len(b):
         return [], list(a)
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, m)
     db = len(b) - 1
-    use_np = db >= 24 and (p - 1) * (p - 1) * 2 < _NUMPY_LIMIT
+    use_np = db >= 24 and (m - 1) * (m - 1) * 2 < _NUMPY_LIMIT
     if use_np:
         rem = np.array(a, dtype=np.int64)
         bv = np.array(b, dtype=np.int64)
         q = [0] * (len(a) - db)
         for k in range(len(q) - 1, -1, -1):
-            c = int(rem[k + db]) * inv % p
+            c = int(rem[k + db]) * inv % m
             q[k] = c
             if c:
-                rem[k : k + db + 1] = (rem[k : k + db + 1] - c * bv) % p
+                rem[k : k + db + 1] = (rem[k : k + db + 1] - c * bv) % m
         return _trim(q), _trim([int(x) for x in rem[:db]])
     rem = list(a)
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
-        c = rem[k + db] * inv % p
+        c = rem[k + db] * inv % m
         q[k] = c
         if c:
             for j, bj in enumerate(b):
                 if bj:
-                    rem[k + j] = (rem[k + j] - c * bj) % p
+                    rem[k + j] = (rem[k + j] - c * bj) % m
     return _trim(q), _trim(rem[:db])
 
 
-def gfp_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    return gfp_divmod(a, b, p)[1]
+def gfp_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    return gfp_divmod(a, b, m)[1]
 
 
-def gfp_monic(a: list[int], p: int) -> list[int]:
+def gfp_monic(a: list[int], m: int) -> list[int]:
     if not a or a[-1] == 1:
         return list(a)
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
 
 
 def gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -177,17 +181,24 @@ def gfp_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         s0, s1 = s1, gfp_sub(s0, gfp_mul(q, s1, p), p)
         t0, t1 = t1, gfp_sub(t0, gfp_mul(q, t1, p), p)
     if r0 and r0[-1] != 1:
-        inv = pow(r0[-1], p - 2, p)
+        inv = pow(r0[-1], -1, p)
         r0 = [c * inv % p for c in r0]
         s0 = [c * inv % p for c in s0]
         t0 = [c * inv % p for c in t0]
     return r0, s0, t0
 
 
-def gfp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+def gfp_add(a: list[int], b: list[int], m: int) -> list[int]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+        out[i] = (out[i] + c) % m
+    return _trim(out)
+
+
+def gfp_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % m
     return _trim(out)
 
 
@@ -219,65 +230,7 @@ def reduce_mod_p(coeffs, p: int) -> list[int]:
     return _trim([c % p for c in coeffs])
 
 
-# -- public carrier type ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModPoly:
-    """Dense polynomial over F_p; residues ascending, trimmed."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"composite modulus {self.p}")
-        c = [x % self.p for x in self.coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-
-# -- squarefree, distinct-degree, equal-degree -----------------------------
-
-
-def _sqfree_parts_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition of monic f in F_p[t]: (part, multiplicity)."""
-    out: list[tuple[list[int], int]] = []
-
-    def descend(g: list[int], scale: int) -> None:
-        # scale carries the p-power picked up through Frobenius descent
-        e = 1
-        while len(g) > 1:
-            d = gfp_deriv(g, p)
-            if not d:
-                # g = h(t^p); p-th root is coefficient extraction in F_p
-                root = g[::p]
-                descend(root, scale * p)
-                return
-            c = gfp_gcd(g, d, p)
-            w = gfp_divmod(g, c, p)[0]
-            # w carries the squarefree product of parts with mult not divisible by p
-            while len(w) > 1:
-                y = gfp_gcd(w, c, p)
-                part = gfp_divmod(w, y, p)[0]
-                if len(part) > 1:
-                    out.append((part, e * scale))
-                w = y
-                c = gfp_divmod(c, y, p)[0]
-                e += 1
-            g = c
-
-    descend(gfp_monic(f, p), 1)
-    return out
+# -- distinct-degree, equal-degree ----------------------------------------
 
 
 def _frobenius_matrix(v: list[int], p: int, dtype) -> np.ndarray:
@@ -381,20 +334,3 @@ def factor_squarefree_mod_p(f: list[int], p: int) -> list[list[int]]:
         out.extend(_edf(prod, d, p, rng))
     return sorted(out, key=lambda g: (len(g), tuple(reversed(g))))
 
-
-def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Full factorization over F_p into monic irreducibles with multiplicity.
-
-    The leading unit is not stored: lc(f) times the product of the returned
-    powers reproduces f.  Splitting randomness is seeded from the input.
-    """
-    p = f.p
-    if len(f.coeffs) <= 1:
-        return []
-    work = list(f.coeffs)
-    out: list[tuple[ModPoly, int]] = []
-    for part, mult in _sqfree_parts_mod_p(work, p):
-        for g in factor_squarefree_mod_p(part, p):
-            out.append((ModPoly(p, tuple(g)), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
-    return out

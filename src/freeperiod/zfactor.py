@@ -7,6 +7,11 @@ lift the best prime's factorization to above twice the Mignotte bound, and
 recombine subsets smallest-first with exact division checks.  Everything is
 deterministic: probe primes ascend from 3, equal-degree splitting is seeded
 from the input, subsets enumerate in sorted index order.
+
+All modular arithmetic is modpoly's: the probes, gcds and the mod-p
+factorization need a prime modulus, while Hensel lifting and recombination
+call gfp_mul, gfp_add, gfp_sub and gfp_divmod with m = p^l (every divisor
+there is monic, so its leading coefficient is a unit).
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ from dataclasses import dataclass
 
 from .intpoly import IntPoly, content_primitive
 from .modpoly import (
-    _kron_mul,
     ddf_degree_multiset,
     factor_squarefree_mod_p,
+    gfp_add,
     gfp_deriv,
+    gfp_divmod,
     gfp_extgcd,
     gfp_gcd,
     gfp_mul,
-    is_prime,
+    gfp_sub,
+    next_prime,
     reduce_mod_p,
 )
 
@@ -90,7 +97,7 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
             if d == 0:
                 return IntPoly.constant(c)
             tried += 1
-        p = _next_odd_prime(p)
+        p = next_prime(p)
     # primitive PRS
     a, b = (pf, pg) if pf.degree >= pg.degree else (pg, pf)
     while True:
@@ -109,13 +116,6 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     _, r = scaled.divmod_q(b)
     assert all(x.denominator == 1 for x in r)
     return IntPoly(tuple(int(x) for x in r))
-
-
-def _next_odd_prime(p: int) -> int:
-    p += 2
-    while not is_prime(p):
-        p += 2
-    return p
 
 
 # -- squarefree decomposition over Z ---------------------------------------
@@ -154,51 +154,7 @@ def squarefree_decompose(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-# -- arithmetic modulo p^l -------------------------------------------------
-
-
-def _zm_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zm_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) + len(b) < 24 or max(a) == 0 or max(b) == 0:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % m
-        return _zm_trim(out)
-    return _zm_trim([c % m for c in _kron_mul(a, b)])
-
-
-def _zm_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _zm_trim(out)
-
-
-def _zm_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic divisor over Z/m."""
-    assert b and b[-1] == 1
-    db = len(b) - 1
-    if len(a) < len(b):
-        return [], list(a)
-    rem = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + db]
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                if bj:
-                    rem[k + j] = (rem[k + j] - c * bj) % m
-    return _zm_trim(q), _zm_trim(rem[:db])
+# -- Hensel lifting modulo p^l --------------------------------------------
 
 
 def _hensel_pair(
@@ -212,23 +168,15 @@ def _hensel_pair(
     while level < target:
         level = min(2 * level, target)
         m = p**level
-        fm = [c % m for c in f]
-        e = _zm_sub(fm, _zm_mul(g, h, m), m)
-        q, r = _zm_divmod_monic(_zm_mul(s, e, m), h, m)
-        g = _zm_trim([x % m for x in _add_lists(g, _add_lists(_zm_mul(t, e, m), _zm_mul(q, g, m)))])
-        h = _zm_trim([x % m for x in _add_lists(h, r)])
-        b = _zm_sub(_add_lists(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
-        c, d = _zm_divmod_monic(_zm_mul(s, b, m), h, m)
-        s = _zm_sub(s, d, m)
-        t = _zm_sub(t, _add_lists(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
+        e = gfp_sub([c % m for c in f], gfp_mul(g, h, m), m)
+        q, r = gfp_divmod(gfp_mul(s, e, m), h, m)
+        g = gfp_add(g, gfp_add(gfp_mul(t, e, m), gfp_mul(q, g, m), m), m)
+        h = gfp_add(h, r, m)
+        b = gfp_sub(gfp_add(gfp_mul(s, g, m), gfp_mul(t, h, m), m), [1], m)
+        c, d = gfp_divmod(gfp_mul(s, b, m), h, m)
+        s = gfp_sub(s, d, m)
+        t = gfp_sub(t, gfp_add(gfp_mul(t, b, m), gfp_mul(c, g, m), m), m)
     return g, h
-
-
-def _add_lists(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
 
 
 def _hensel_tree(f_star: list[int], hs: list[list[int]], p: int, target: int) -> list[list[int]]:
@@ -272,7 +220,7 @@ def _good_primes(f: IntPoly, start: int, count: int) -> list[int]:
             fb = reduce_mod_p(f.coeffs, p)
             if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
                 out.append(p)
-        p = _next_odd_prime(p)
+        p = next_prime(p)
     return out
 
 
@@ -309,7 +257,7 @@ def degree_set_filter(f: IntPoly, target_degree: int, trials: int = 3) -> bool:
                 degs = ddf_degree_multiset(fb, p)
                 if not (_subset_degrees(degs) >> target_degree) & 1:
                     return False
-        p = _next_odd_prime(p)
+        p = next_prime(p)
     return True
 
 
@@ -337,7 +285,7 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     best_p, best_degs = probes[0]
     if _combo_budget(len(best_degs)) > _SUBSET_CAP:
         # hunt for a sparser factorization pattern before recombining
-        start = _next_odd_prime(max(pr[0] for pr in probes))
+        start = next_prime(max(pr[0] for pr in probes))
         extra = []
         p = start
         seen = 0
@@ -349,7 +297,7 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
                 return [f]
             extra.append((q, degs))
             seen += 1
-            p = _next_odd_prime(q)
+            p = next_prime(q)
         for q, degs in extra:
             possible &= _subset_degrees(degs)
         proper = possible & ~(1 | (1 << f.degree))
@@ -384,7 +332,7 @@ def _zassenhaus(f: IntPoly, p: int, possible: int) -> list[IntPoly]:
                 continue
             prod = [G.lc % big]
             for i in combo:
-                prod = _zm_mul(prod, hs[i], big)
+                prod = gfp_mul(prod, hs[i], big)
             cand = IntPoly(tuple(_sym(c, big) for c in prod))
             if not cand:
                 continue

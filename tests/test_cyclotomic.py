@@ -15,7 +15,7 @@ from freeperiod import (
     phi_inverse,
     prime_power,
 )
-from freeperiod.cyclotomic import divisors, euler_phi, factorint, moebius, v_p
+from freeperiod.cyclotomic import divisors, euler_phi, factorint, v_p
 
 
 @given(st.integers(min_value=1, max_value=5000))
@@ -35,12 +35,6 @@ def test_divisors_complete(n):
 @given(st.integers(min_value=1, max_value=500))
 def test_euler_phi_brute(n):
     assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-@given(st.integers(min_value=1, max_value=300))
-def test_moebius_divisor_sum(n):
-    total = sum(moebius(d) for d in divisors(n))
-    assert total == (1 if n == 1 else 0)
 
 
 def test_prime_power_cases():

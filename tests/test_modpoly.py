@@ -1,15 +1,16 @@
-"""Arithmetic and factorization over prime fields."""
+"""Arithmetic over Z/m and factorization over prime fields."""
+
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod.modpoly import (
     _NUMPY_LIMIT,
-    ModPoly,
     ddf_degree_multiset,
     distinct_degree_split,
-    factor_mod_p,
     factor_squarefree_mod_p,
+    gfp_add,
     gfp_deriv,
     gfp_divmod,
     gfp_eval,
@@ -130,55 +131,60 @@ def test_eval_horner(a, p, x):
     assert gfp_eval(a, x, p) == expected
 
 
+def _is_squarefree(f, p):
+    return len(gfp_gcd(f, gfp_deriv(f, p), p)) == 1
+
+
+def _product(factors, p):
+    prod = [1]
+    for g in factors:
+        prod = gfp_mul(prod, g, p)
+    return prod
+
+
 def known_factization_cases():
     yield [1, 0, 1], 5, 2  # t^2 + 1 = (t + 2)(t + 3) mod 5
     yield [1, 0, 1], 3, 1  # irreducible mod 3
     yield [1, 1], 2, 1
-    yield [1, 0, 0, 0, 1], 2, 1  # (t + 1)^4 mod 2: one distinct factor
+    yield [1, 1, 0, 0, 1], 2, 1  # t^4 + t + 1 is irreducible mod 2
 
 
-@pytest.mark.parametrize("coeffs,p,distinct", list(known_factization_cases()))
-def test_factor_mod_p_known_splits(coeffs, p, distinct):
-    out = factor_mod_p(ModPoly(p, tuple(coeffs)))
-    assert len(out) == distinct
-    prod = [coeffs[-1] % p]
-    for g, mult in out:
-        for _ in range(mult):
-            prod = gfp_mul(prod, list(g.coeffs), p)
-    assert prod == [c % p for c in coeffs]
+@pytest.mark.parametrize("coeffs,p,count", list(known_factization_cases()))
+def test_factor_mod_p_known_splits(coeffs, p, count):
+    out = factor_squarefree_mod_p(coeffs, p)
+    assert len(out) == count
+    assert _product(out, p) == coeffs
 
 
 def test_quartic_plus_one_always_splits():
-    # t^4 + 1 is reducible modulo every prime
+    # t^4 + 1 is reducible modulo every prime, and squarefree modulo odd ones
     for p in [3, 5, 7, 11, 13, 17, 19, 23]:
-        out = factor_mod_p(ModPoly(p, (1, 0, 0, 0, 1)))
-        assert sum(m for _, m in out) >= 2
+        assert len(factor_squarefree_mod_p([1, 0, 0, 0, 1], p)) >= 2
+
+
+def squarefree_monic(c, p):
+    f = reduce_mod_p(c, p) + [1]
+    assume(_is_squarefree(f, p))
+    return f
 
 
 @settings(max_examples=60)
-@given(mod_coeffs.filter(lambda c: any(c)), st.sampled_from(PRIMES))
+@given(mod_coeffs, st.sampled_from(PRIMES))
 def test_factor_mod_p_reassembles_and_is_irreducible(c, p):
-    f = ModPoly(p, tuple(c))
-    if f.degree < 1:
-        return
-    out = factor_mod_p(f)
-    prod = [f.lc]
-    for g, mult in out:
-        assert g.lc == 1
+    f = squarefree_monic(c, p)
+    out = factor_squarefree_mod_p(f, p)
+    for g in out:
+        assert g[-1] == 1
         # irreducible: its distinct-degree profile is a single block
-        assert ddf_degree_multiset(list(g.coeffs), p) == [g.degree]
-        for _ in range(mult):
-            prod = gfp_mul(prod, list(g.coeffs), p)
-    assert prod == list(f.coeffs)
+        assert ddf_degree_multiset(g, p) == [len(g) - 1]
+    assert _product(out, p) == f
 
 
 @settings(max_examples=40)
-@given(mod_coeffs.filter(lambda c: any(c)), st.sampled_from(PRIMES))
+@given(mod_coeffs, st.sampled_from(PRIMES))
 def test_factorization_is_deterministic(c, p):
-    f = ModPoly(p, tuple(c))
-    if f.degree < 1:
-        return
-    assert factor_mod_p(f) == factor_mod_p(f)
+    f = squarefree_monic(c, p)
+    assert factor_squarefree_mod_p(f, p) == factor_squarefree_mod_p(list(f), p)
 
 
 def test_distinct_degree_split_blocks():
@@ -218,10 +224,6 @@ def reference_distinct_degree_split(v, p):
     return parts
 
 
-def _is_squarefree(f, p):
-    return len(gfp_gcd(f, gfp_deriv(f, p), p)) == 1
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(PRIMES),
        st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=40))
@@ -259,3 +261,54 @@ def test_distinct_degree_split_wide_prime_uses_exact_integers():
     assert prod == f
     factors = factor_squarefree_mod_p(f, p)
     assert [len(g) - 1 for g in factors] == ddf_degree_multiset(f, p)
+
+
+# -- the kernels at composite moduli m = p^l ---------------------------------
+
+# 5^8 keeps (m-1)^2 * len inside int64 (numpy branches); 3^40 does not
+# (Kronecker product, Python-integer division)
+PRIME_POWERS = [4, 27, 5**8, 3**40]
+
+
+def reference_mul(a, b, m):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return reduce_mod_p(out, m)
+
+
+def reference_add(a, b, m, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return reduce_mod_p([x + sign * y for x, y in zip(a, b)], m)
+
+
+def residues(m, short, long):
+    """Short vectors (schoolbook) or long ones (numpy or Kronecker branches)."""
+    coeff = st.integers(min_value=0, max_value=m - 1)
+    return st.one_of(st.lists(coeff, max_size=short),
+                     st.lists(coeff, min_size=long, max_size=long + 12))
+
+
+def unit_lc_divisors(m):
+    """Divisors whose leading coefficient is a unit mod m, often not 1."""
+    unit = st.integers(min_value=1, max_value=m - 1).filter(lambda u: math.gcd(u, m) == 1)
+    return st.tuples(residues(m, 6, 24), unit).map(lambda lu: lu[0] + [lu[1]])
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernels_at_prime_powers_match_integer_schoolbook(m, data):
+    a = reduce_mod_p(data.draw(residues(m, 11, 30)), m)  # kernels take trimmed vectors
+    b = reduce_mod_p(data.draw(residues(m, 11, 13)), m)
+    assert gfp_mul(a, b, m) == reference_mul(a, b, m)
+    assert gfp_add(a, b, m) == reference_add(a, b, m)
+    assert gfp_sub(a, b, m) == reference_add(a, b, m, sign=-1)
+    v = data.draw(unit_lc_divisors(m))
+    q, r = gfp_divmod(a, v, m)
+    # with a unit leading coefficient, a = q v + r and deg r < deg v pin q, r
+    assert len(r) < len(v)
+    assert q == reduce_mod_p(q, m) and r == reduce_mod_p(r, m)
+    assert reference_add(reference_mul(q, v, m), r, m) == reduce_mod_p(a, m)

@@ -162,3 +162,42 @@ def test_factors_are_idempotently_irreducible(g):
 def test_factor_zero_rejected():
     with pytest.raises(ValueError):
         factor_over_z(IntPoly.zero())
+
+
+# factors with leading coefficients off +-1, so Hensel lifting and
+# Zassenhaus recombination run with a non-monic f and a scaled lift
+nonmonic_factors = st.builds(
+    lambda low, lc: IntPoly(tuple(low) + (lc,)),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+)
+
+
+def _sympy_factorization(f):
+    """(constant, {ascending coefficients: multiplicity}) from sympy.factor_list."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    const, parts = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    const = int(const)
+    out: dict[tuple[int, ...], int] = {}
+    for g, mult in parts:
+        cs = tuple(int(c) for c in reversed(g.all_coeffs()))
+        if cs[-1] < 0:
+            cs = tuple(-c for c in cs)
+            const *= (-1) ** mult
+        out[cs] = out.get(cs, 0) + mult
+    return const, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(nonmonic_factors, st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=3),
+       st.integers(min_value=-12, max_value=12).filter(bool))
+def test_factor_over_z_matches_sympy(parts, unit):
+    f = IntPoly.constant(unit)
+    for g, mult in parts:
+        f = f * g**mult
+    const, expected = _sympy_factorization(f)
+    fac = factor_over_z(f)
+    assert fac.sign * fac.content == const
+    assert {g.coeffs: m for g, m in fac.factors} == expected

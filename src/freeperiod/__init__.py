@@ -9,7 +9,6 @@ polynomials.
 """
 
 from .cyclotomic import (
-    cyclotomic,
     cyclotomic_tag,
     inflate_cyclotomic,
     is_cyclotomic_product,
@@ -73,7 +72,6 @@ __all__ = [
     "candidate_record",
     "construct_witness",
     "content_primitive",
-    "cyclotomic",
     "cyclotomic_tag",
     "e_of_irreducible",
     "enumerate_candidates",

@@ -6,6 +6,10 @@ single symbolic or ascending comma-separated coefficient expression) or
 normalized knot records; a bare --poly is taken as-is so non-Alexander
 polynomials can still be factored or profiled.
 
+--jobs N computes the rows of a table on N worker processes; the output
+is the same as with --jobs 1, and the first failing row in input order is
+reported once.
+
 Exit codes: 0 success, 1 domain error (bad polynomial, failed
 precondition), 2 usage error.  Machine-readable output via --json always
 carries the bound mode and a rigor flag.  FPL_MODE sets the default for
@@ -17,14 +21,16 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import click
 
 from .hartley import (
     BoundMode,
+    HartleySet,
     construct_witness,
     hartley_knot_check,
     hartley_profile,
@@ -32,11 +38,9 @@ from .hartley import (
     is_n_hartley,
 )
 from .intpoly import IntPoly, format_poly, parse_poly
-from .lspace import FilterConfig, survey
+from .lspace import FilterConfig, parallel_map, survey
 from .murasugi import murasugi_screen, murasugi_screen_all
 from .zfactor import factor_over_z
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -102,288 +106,219 @@ def ingest_csv(path: str, strict: bool = False,
     return records
 
 
-# -- shared option plumbing ------------------------------------------------
+@click.group()
+def main() -> None:
+    """Free-periodicity and periodicity obstructions for knot polynomials."""
 
 
-def _poly_options(fn):
-    fn = click.option("--poly", help="polynomial expression")(fn)
-    fn = click.option("--poly-file", type=click.Path(),
-                      help="knot table CSV (name,alexander)")(fn)
-    return fn
+# -- per-polynomial subcommands --------------------------------------------
+
+_MODE = click.option(
+    "--mode", type=click.Choice(["heuristic", "rigorous"]),
+    default="heuristic", envvar="FPL_MODE", show_default=True,
+    help="Mahler bound mode (env FPL_MODE sets the default)")
+_INPUT_OPTIONS = (
+    click.option("--poly-file", type=click.Path(),
+                 help="knot table CSV (name,alexander)"),
+    click.option("--poly", help="polynomial expression"),
+    _MODE,
+    click.option("--jobs", type=int, default=1, show_default=True,
+                 help="worker processes for batch inputs"),
+)
 
 
-def _mode_option(fn):
-    return click.option(
-        "--mode", type=click.Choice(["heuristic", "rigorous"]),
-        default="heuristic", envvar="FPL_MODE", show_default=True,
-        help="Mahler bound mode (env FPL_MODE sets the default)")(fn)
-
-
-def _jobs_option(fn):
-    return click.option("--jobs", type=int, default=1, show_default=True,
-                        help="worker fan-out for batch inputs")(fn)
+@contextmanager
+def _domain_errors() -> Iterator[None]:
+    # domain failures exit 1; usage problems keep click's exit 2
+    try:
+        yield
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _inputs(poly: Optional[str], poly_file: Optional[str]) -> list[tuple[Optional[str], IntPoly]]:
     if (poly is None) == (poly_file is None):
         raise click.UsageError("provide exactly one of --poly or --poly-file")
     if poly is not None:
-        return [(None, _domain(parse_poly)(poly))]
+        return [(None, parse_poly(poly))]
     errors: list[str] = []
-    records = _domain(ingest_csv)(poly_file, False, errors)
+    records = ingest_csv(poly_file, False, errors)
     for msg in errors:
         click.echo(f"skipped: {msg}", err=True)
     return [(r.name, r.alexander) for r in records]
 
 
-def _domain(fn: Callable[..., T]) -> Callable[..., T]:
-    # domain failures exit 1; usage problems keep click's exit 2
-    def run(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-    return run
+def _row(row: Callable[..., dict], mode: BoundMode, opts: dict,
+         item: tuple[Optional[str], IntPoly]) -> dict:
+    name, f = item
+    return {"name": name, "poly": format_poly(f), **row(f, mode, **opts)}
 
 
-def _pmap(fn: Callable[[tuple[Optional[str], IntPoly]], T],
-          items: list[tuple[Optional[str], IntPoly]], jobs: int) -> list[T]:
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _per_poly(name: str, summary: str, row: Callable[..., dict],
+              line: Callable[[dict], str], *options,
+              check: Optional[Callable[..., None]] = None) -> None:
+    """Register a subcommand that computes one row per input polynomial.
+
+    row(f, mode, **opts) is a module-level function (worker processes
+    unpickle it) returning the JSON row after its name and poly keys;
+    line(row) renders the row for humans.  check(**opts) rejects option
+    combinations before any input is read.
+    """
+    def command(poly, poly_file, mode, jobs, as_json, **opts):
+        mode = BoundMode(mode)
+        if check:
+            check(**opts)
+        with _domain_errors():
+            items = _inputs(poly, poly_file)
+            rows = parallel_map(partial(_row, row, mode, opts), items, jobs)
+        if as_json:
+            click.echo(json.dumps(
+                {"mode": mode.value, "rigorous": mode is BoundMode.RIGOROUS,
+                 "results": rows}, separators=(",", ":")))
+            return
+        for res in rows:
+            prefix = f"{res['name']}: " if res["name"] else ""
+            click.echo(prefix + line(res))
+
+    for option in reversed((*_INPUT_OPTIONS, *options,
+                            click.option("--json", "as_json", is_flag=True))):
+        command = option(command)
+    main.command(name, help=summary)(command)
 
 
-def _emit(as_json: bool, mode: BoundMode, results: list[dict],
-          human: Callable[[dict], str]) -> None:
-    if as_json:
-        click.echo(json.dumps(
-            {"mode": mode.value, "rigorous": mode is BoundMode.RIGOROUS,
-             "results": results}, separators=(",", ":")))
-        return
-    for res in results:
-        prefix = f"{res['name']}: " if res.get("name") else ""
-        click.echo(prefix + human(res))
+def _poly_str(coeffs: list[int]) -> str:
+    return format_poly(IntPoly(tuple(coeffs)))
 
 
-@click.group()
-def main() -> None:
-    """Free-periodicity and periodicity obstructions for knot polynomials."""
+def _factor_row(f: IntPoly, mode: BoundMode) -> dict:
+    fp = factor_over_z(f)
+    return {"sign": fp.sign, "content": fp.content,
+            "factors": [{"coeffs": list(g), "mult": m, "str": format_poly(g)}
+                        for g, m in fp.factors]}
 
 
-# -- subcommands -----------------------------------------------------------
+def _factor_line(res: dict) -> str:
+    body = " * ".join(
+        f"({f['str']})^{f['mult']}" if f["mult"] > 1 else f"({f['str']})"
+        for f in res["factors"])
+    unit = res["sign"] * res["content"]
+    return f"{unit} * {body}" if body else str(unit)
 
 
-@main.command()
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--json", "as_json", is_flag=True)
-def factor(poly, poly_file, mode, jobs, as_json):
-    """Factor polynomials into irreducibles over the integers."""
-    mode = BoundMode(mode)
-
-    def one(item):
-        name, f = item
-        fp = _domain(factor_over_z)(f)
-        return {"name": name, "poly": format_poly(f), "sign": fp.sign,
-                "content": fp.content,
-                "factors": [{"coeffs": list(g), "mult": m, "str": format_poly(g)}
-                            for g, m in fp.factors]}
-
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
-
-    def human(res):
-        body = " * ".join(
-            f"({f['str']})^{f['mult']}" if f["mult"] > 1 else f"({f['str']})"
-            for f in res["factors"])
-        unit = res["sign"] * res["content"]
-        return f"{unit} * {body}" if body else str(unit)
-
-    _emit(as_json, mode, results, human)
-
-
-def _hartley_payload(f: IntPoly, mode: BoundMode) -> dict:
-    profile = _domain(hartley_profile)(f, mode)
+def _evalue_row(f: IntPoly, mode: BoundMode) -> dict:
+    profile = hartley_profile(f, mode)
     hs = hartley_set(profile)
     return {"e": profile.e_gcd_literal,
             "hartley": {"finite": hs.finite, "members": list(hs.members),
-                        "rule": hs.rule},
-            "_set": str(hs)}
+                        "rule": hs.rule}}
 
 
-@main.command()
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--json", "as_json", is_flag=True)
-def evalue(poly, poly_file, mode, jobs, as_json):
-    """Report the E invariant (0 for cyclotomic products) per polynomial."""
-    mode = BoundMode(mode)
-
-    def one(item):
-        name, f = item
-        res = _hartley_payload(f, mode)
-        return {"name": name, "poly": format_poly(f), "e": res["e"],
-                "hartley": res["hartley"], "_set": res["_set"]}
-
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
-
-    def human(res):
-        rule = res["hartley"]["rule"]
-        tail = f", rule {rule}" if rule else f", set {res['_set']}"
-        return f"E = {res['e']}{tail}"
-
-    for res in results:
-        res.pop("_set") if as_json else None
-    _emit(as_json, mode, results, human)
+def _hartley_set_row(f: IntPoly, mode: BoundMode) -> dict:
+    return {"hartley": _evalue_row(f, mode)["hartley"]}
 
 
-@main.command("hartley-set")
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--json", "as_json", is_flag=True)
-def hartley_set_cmd(poly, poly_file, mode, jobs, as_json):
-    """Print all orders n >= 2 passing the free-period factorization test."""
-    mode = BoundMode(mode)
-
-    def one(item):
-        name, f = item
-        res = _hartley_payload(f, mode)
-        return {"name": name, "poly": format_poly(f),
-                "hartley": res["hartley"], "_set": res["_set"]}
-
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
-    for res in results:
-        res.pop("_set") if as_json else None
-    _emit(as_json, mode, results, lambda res: res["_set"])
+def _hartley_set_line(res: dict) -> str:
+    return str(HartleySet(**res["hartley"]))
 
 
-@main.command("hartley-check")
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--n", "order", type=int, required=True,
-              help="period order to test")
-@click.option("--knot", is_flag=True,
-              help="enforce Alexander-polynomial preconditions first")
-@click.option("--json", "as_json", is_flag=True)
-def hartley_check(poly, poly_file, mode, jobs, order, knot, as_json):
-    """Decide whether each polynomial is n-Hartley, with a witness."""
-    mode = BoundMode(mode)
+def _evalue_line(res: dict) -> str:
+    rule = res["hartley"]["rule"]
+    tail = f", rule {rule}" if rule else f", set {_hartley_set_line(res)}"
+    return f"E = {res['e']}{tail}"
 
-    def one(item):
-        name, f = item
-        out = {"name": name, "poly": format_poly(f), "n": order}
-        if knot:
-            rep = _domain(hartley_knot_check)(f, order, mode)
-            out["verdict"] = rep.verdict
-            if rep.verdict:
-                out["witness"] = list(rep.certificate.witness)
-                out["sign"] = rep.certificate.sign
-                out["witness_str"] = format_poly(rep.certificate.witness)
-                out["witness_unit_at_one"] = rep.witness_unit_at_one
-                out["witness_palindromic"] = rep.witness_palindromic
-            return out
-        profile = _domain(hartley_profile)(f, mode)
-        out["verdict"] = _domain(is_n_hartley)(profile, order)
-        if out["verdict"]:
-            cert = construct_witness(f, order, mode)
-            out["witness"] = list(cert.witness)
-            out["sign"] = cert.sign
-            out["witness_str"] = format_poly(cert.witness)
+
+def _hartley_check_row(f: IntPoly, mode: BoundMode, order: int,
+                       knot: bool) -> dict:
+    out = {"n": order}
+    if knot:
+        rep = hartley_knot_check(f, order, mode)
+        out["verdict"] = rep.verdict
+        if rep.verdict:
+            out.update(witness=list(rep.certificate.witness),
+                       sign=rep.certificate.sign,
+                       witness_unit_at_one=rep.witness_unit_at_one,
+                       witness_palindromic=rep.witness_palindromic)
         return out
-
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
-
-    def human(res):
-        if not res["verdict"]:
-            return f"n = {res['n']}: no"
-        return (f"n = {res['n']}: yes, witness {res['witness_str']},"
-                f" sign {res['sign']:+d}")
-
-    for res in results:
-        res.pop("witness_str", None) if as_json else None
-    _emit(as_json, mode, results, human)
+    out["verdict"] = is_n_hartley(hartley_profile(f, mode), order)
+    if out["verdict"]:
+        cert = construct_witness(f, order, mode)
+        out.update(witness=list(cert.witness), sign=cert.sign)
+    return out
 
 
-@main.command()
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--n", "order", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def witness(poly, poly_file, mode, jobs, order, as_json):
-    """Construct and verify an order-n witness factorization."""
-    mode = BoundMode(mode)
-
-    def one(item):
-        name, f = item
-        cert = _domain(construct_witness)(f, order, mode)
-        return {"name": name, "poly": format_poly(f), "n": order,
-                "witness": list(cert.witness), "sign": cert.sign,
-                "verified": cert.verified,
-                "witness_str": format_poly(cert.witness)}
-
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
-
-    def human(res):
-        return (f"n = {res['n']}: witness {res['witness_str']},"
-                f" sign {res['sign']:+d}, verified {res['verified']}")
-
-    for res in results:
-        res.pop("witness_str", None) if as_json else None
-    _emit(as_json, mode, results, human)
+def _hartley_check_line(res: dict) -> str:
+    if not res["verdict"]:
+        return f"n = {res['n']}: no"
+    return (f"n = {res['n']}: yes, witness {_poly_str(res['witness'])},"
+            f" sign {res['sign']:+d}")
 
 
-@main.command()
-@_poly_options
-@_mode_option
-@_jobs_option
-@click.option("--q", "period", type=int, default=None,
-              help="screen one prime-power period")
-@click.option("--all", "do_all", is_flag=True,
-              help="screen every prime power up to deg + 1")
-@click.option("--json", "as_json", is_flag=True)
-def murasugi(poly, poly_file, mode, jobs, period, do_all, as_json):
-    """Run the mod-p periodicity congruence screen."""
-    mode = BoundMode(mode)
+def _witness_row(f: IntPoly, mode: BoundMode, order: int) -> dict:
+    cert = construct_witness(f, order, mode)
+    return {"n": order, "witness": list(cert.witness), "sign": cert.sign,
+            "verified": cert.verified}
+
+
+def _witness_line(res: dict) -> str:
+    return (f"n = {res['n']}: witness {_poly_str(res['witness'])},"
+            f" sign {res['sign']:+d}, verified {res['verified']}")
+
+
+def _murasugi_check(period: Optional[int], do_all: bool) -> None:
     if (period is None) == (not do_all):
         raise click.UsageError("provide exactly one of --q or --all")
 
-    def one(item):
-        name, f = item
-        if do_all:
-            hits = _domain(murasugi_screen_all)(f)
-        else:
-            hits = _domain(murasugi_screen)(f, period)
-        return {"name": name, "poly": format_poly(f),
-                "hits": [{"q": h.q, "lam": h.lam, "shift": h.shift,
-                          "sign": h.sign, "quotient": list(h.quotient),
-                          "quotient_str": format_poly(h.quotient),
-                          "divides": h.divides} for h in hits]}
 
-    results = _pmap(one, _inputs(poly, poly_file), jobs)
+def _murasugi_row(f: IntPoly, mode: BoundMode, period: Optional[int],
+                  do_all: bool) -> dict:
+    hits = murasugi_screen_all(f) if do_all else murasugi_screen(f, period)
+    return {"hits": [{"q": h.q, "lam": h.lam, "shift": h.shift,
+                      "sign": h.sign, "quotient": list(h.quotient),
+                      "divides": h.divides} for h in hits]}
 
-    def human(res):
-        if not res["hits"]:
-            return "no hits (screen obstructs the period)"
-        return "; ".join(
-            f"q={h['q']} lam={h['lam']} shift={h['shift']} sign={h['sign']:+d}"
-            f" divides={h['divides']} quotient {h['quotient_str']}"
-            for h in res["hits"])
 
-    if as_json:
-        for res in results:
-            for h in res["hits"]:
-                h.pop("quotient_str")
-    _emit(as_json, mode, results, human)
+def _murasugi_line(res: dict) -> str:
+    if not res["hits"]:
+        return "no hits (screen obstructs the period)"
+    return "; ".join(
+        f"q={h['q']} lam={h['lam']} shift={h['shift']} sign={h['sign']:+d}"
+        f" divides={h['divides']} quotient {_poly_str(h['quotient'])}"
+        for h in res["hits"])
+
+
+_per_poly("factor", "Factor polynomials into irreducibles over the integers.",
+          _factor_row, _factor_line)
+_per_poly("evalue",
+          "Report the E invariant (0 for cyclotomic products) per polynomial.",
+          _evalue_row, _evalue_line)
+_per_poly("hartley-set",
+          "Print all orders n >= 2 passing the free-period factorization test.",
+          _hartley_set_row, _hartley_set_line)
+_per_poly("hartley-check",
+          "Decide whether each polynomial is n-Hartley, with a witness.",
+          _hartley_check_row, _hartley_check_line,
+          click.option("--n", "order", type=int, required=True,
+                       help="period order to test"),
+          click.option("--knot", is_flag=True,
+                       help="enforce Alexander-polynomial preconditions first"))
+_per_poly("witness", "Construct and verify an order-n witness factorization.",
+          _witness_row, _witness_line,
+          click.option("--n", "order", type=int, required=True))
+_per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
+          _murasugi_row, _murasugi_line,
+          click.option("--q", "period", type=int, default=None,
+                       help="screen one prime-power period"),
+          click.option("--all", "do_all", is_flag=True,
+                       help="screen every prime power up to deg + 1"),
+          check=_murasugi_check)
+
+
+# -- batch commands --------------------------------------------------------
 
 
 @main.command("survey")
-@_mode_option
+@_MODE
 @click.option("--max-genus", type=int, default=10, show_default=True)
 @click.option("--full", is_flag=True,
               help="allow the long run past genus 10")
@@ -428,7 +363,8 @@ def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json):
 def ingest(path, strict, as_json):
     """Validate a knot table CSV and print the normalized records."""
     errors: list[str] = []
-    records = _domain(ingest_csv)(path, strict, errors)
+    with _domain_errors():
+        records = ingest_csv(path, strict, errors)
     for msg in errors:
         click.echo(f"skipped: {msg}", err=True)
     if as_json:

@@ -119,10 +119,6 @@ class IntPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def max_abs(self) -> int:
-        """Height: max |c_i| (0 for the zero polynomial)."""
-        return max((abs(a) for a in self.coeffs), default=0)
-
     def l2_norm_sq(self) -> int:
         """Sum of squared coefficients, exact."""
         return sum(a * a for a in self.coeffs)

@@ -24,9 +24,11 @@ import cmath
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from functools import lru_cache, partial
+from multiprocessing import get_context
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
@@ -35,6 +37,9 @@ from .murasugi import MurasugiHit, murasugi_screen_all
 from .zfactor import FactoredPoly, factor_over_z
 
 SCHEMA_VERSION = 1
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,38 @@ def survey_records(cands: list[Candidate],
     return [candidate_record(c, mode) for c in cands]
 
 
-def _worker(args: tuple[list[Candidate], str]) -> list[CandidateRecord]:
-    cands, mode_value = args
-    return survey_records(cands, BoundMode(mode_value))
+def _map_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
+    return [fn(x) for x in chunk]
+
+
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
+                 progress: Optional[Callable[[int, int], None]] = None) -> list[R]:
+    """[fn(x) for x in items], computed by jobs worker processes when jobs > 1.
+
+    Items go out in chunks, 64 per chunk serially and ceil(n / (8 jobs))
+    across the pool, and results come back in input order.  Workers are
+    spawned, not forked, so they start from a fresh import: fn and the
+    items must pickle, and a calling script needs its __main__ guard.
+    progress(done, total) runs after each chunk.  An exception raised by
+    fn propagates from the first failing item in input order, whatever
+    jobs is.
+    """
+    pooled = jobs > 1 and len(items) > 1
+    size = max(1, math.ceil(len(items) / (8 * jobs))) if pooled else 64
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    out: list[R] = []
+    with ExitStack() as stack:
+        run = map
+        if pooled:
+            pool = ProcessPoolExecutor(max_workers=jobs,
+                                       mp_context=get_context("spawn"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            run = pool.map
+        for part in run(partial(_map_chunk, fn), chunks):
+            out.extend(part)
+            if progress:
+                progress(len(out), len(items))
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,21 +423,8 @@ def survey(g_max: int,
     """
     filters = filters or FilterConfig()
     cands = list(enumerate_candidates(g_max, filters))
-    records: list[CandidateRecord] = []
-    if jobs > 1 and len(cands) > 1:
-        chunk = max(1, math.ceil(len(cands) / (jobs * 8)))
-        parts = [(cands[i:i + chunk], mode.value)
-                 for i in range(0, len(cands), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_worker, parts):
-                records.extend(part)
-                if progress:
-                    progress(len(records), len(cands))
-    else:
-        for i in range(0, len(cands), 64):
-            records.extend(survey_records(cands[i:i + 64], mode))
-            if progress:
-                progress(len(records), len(cands))
+    records = parallel_map(partial(candidate_record, mode=mode), cands, jobs,
+                           progress)
     records.sort(key=lambda r: (r.candidate.genus, r.candidate.exponents))
     return SurveyReport(g_max=g_max, mode=mode, top_gap_1=filters.top_gap_1,
                         custom_filter=filters.predicate is not None,

@@ -125,7 +125,7 @@ def gfp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
     if not b:
         raise ZeroDivisionError("mod-m division by zero polynomial")
     if len(a) < len(b):
-        return [], list(a)
+        return [], _trim([c % m for c in a])
     inv = pow(b[-1], -1, m)
     db = len(b) - 1
     use_np = db >= 24 and (m - 1) * (m - 1) * 2 < _NUMPY_LIMIT

@@ -18,7 +18,6 @@ import pytest
 from freeperiod import (
     IntPoly,
     construct_witness,
-    cyclotomic,
     cyclotomic_tag,
     e_of_irreducible,
     factor_over_z,
@@ -29,6 +28,7 @@ from freeperiod import (
     survey,
     verify_witness,
 )
+from freeperiod.cyclotomic import cyclotomic
 from freeperiod.modpoly import reduce_mod_p
 
 from polys import D26, D30, FIG8, K14

@@ -148,11 +148,29 @@ def test_poly_file_names_outputs_and_reports_skips(runner, table):
     assert "row 5: not palindromic up to sign" in res.stderr
 
 
-def test_poly_file_jobs_fanout_matches_serial(runner, table):
-    serial = runner.invoke(main, ["factor", "--poly-file", table, "--json"])
-    fanned = runner.invoke(main, ["factor", "--poly-file", table,
-                                  "--jobs", "3", "--json"])
-    assert serial.stdout == fanned.stdout and serial.stdout
+@pytest.mark.parametrize("command", [
+    ["factor"], ["evalue"], ["hartley-set"], ["hartley-check", "--n", "2"],
+    ["hartley-check", "--n", "2", "--knot"], ["witness", "--n", "2"],
+    ["murasugi", "--all"], ["witness", "--n", "3"],
+], ids=lambda c: "_".join(a.lstrip("-") for a in c))
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["human", "json"])
+def test_poly_file_jobs_fanout_matches_serial(runner, table, command, as_json):
+    args = command + ["--poly-file", table] + as_json
+    serial = runner.invoke(main, args + ["--jobs", "1"])
+    fanned = runner.invoke(main, args + ["--jobs", "2"])
+    assert (serial.exit_code, serial.stdout, serial.stderr) == (
+        fanned.exit_code, fanned.stdout, fanned.stderr)
+    assert serial.stdout or serial.exit_code == 1
+
+
+def test_failing_rows_report_one_error_at_any_jobs(runner, table):
+    # neither table knot is 3-Hartley: the first failing row is reported once
+    for jobs in ("1", "2", "3"):
+        res = runner.invoke(main, ["witness", "--n", "3", "--poly-file", table,
+                                   "--jobs", jobs])
+        assert res.exit_code == 1 and res.stdout == ""
+        errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: not 3-Hartley; no witness exists"]
 
 
 def test_ingest_human_json_and_strict(runner, table):

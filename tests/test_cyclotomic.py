@@ -1,13 +1,13 @@
 """Cyclotomic polynomials and the supporting arithmetic functions."""
 
 import math
+import types
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from freeperiod import (
     IntPoly,
-    cyclotomic,
     cyclotomic_tag,
     factor_over_z,
     inflate_cyclotomic,
@@ -15,8 +15,15 @@ from freeperiod import (
     phi_inverse,
     prime_power,
 )
-from freeperiod.cyclotomic import divisors, euler_phi, factorint, v_p
+from freeperiod.cyclotomic import cyclotomic, divisors, euler_phi, factorint, v_p
 
+
+def test_package_attribute_is_the_submodule():
+    import freeperiod
+    import freeperiod.cyclotomic as cy
+
+    assert isinstance(freeperiod.cyclotomic, types.ModuleType)
+    assert cy is freeperiod.cyclotomic and cy.cyclotomic is cyclotomic
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_factorint_reassembles(n):

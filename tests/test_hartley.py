@@ -13,7 +13,6 @@ from freeperiod import (
     EValue,
     IntPoly,
     construct_witness,
-    cyclotomic,
     e_of_irreducible,
     factor_over_z,
     hartley_knot_check,
@@ -29,6 +28,7 @@ from freeperiod import (
     rotation_product_deflated,
     verify_witness,
 )
+from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import _aux_primes, _power_residue_rejects
 from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from polys import FIG8, GOLDEN, K14, TREFOIL

@@ -160,7 +160,6 @@ def test_format_spot_checks():
 def test_reverse_and_norms():
     f = IntPoly((2, 0, -1))
     assert f.reverse() == IntPoly((-1, 0, 2))
-    assert f.max_abs() == 2
     assert f.l2_norm_sq() == 5
 
 

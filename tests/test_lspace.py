@@ -17,12 +17,12 @@ from freeperiod import (
     SurveyReport,
     candidate_record,
     construct_witness,
-    cyclotomic,
     enumerate_candidates,
     factor_over_z,
     survey,
     verify_witness,
 )
+from freeperiod.cyclotomic import cyclotomic
 from freeperiod.lspace import _factor_candidate
 
 

@@ -76,6 +76,17 @@ def test_divmod_invariant(a, b, p):
     assert len(r) < len(b) or not r
 
 
+@pytest.mark.parametrize("a, b, m, expect", [
+    ([7, 0], [1, 1, 1], 5, ([], [2])),
+    ([0], [1, 1], 5, ([], [])),
+    ([10, 25, 0], [1, 0, 0, 1], 25, ([], [10])),
+    ([26, 3, 0, 0], [2, 1, 1, 1, 1], 27, ([], [26, 3])),
+])
+def test_divmod_short_dividend_is_reduced_and_trimmed(a, b, m, expect):
+    # deg a < deg b: the remainder is a itself, still reduced mod m and trimmed
+    assert gfp_divmod(a, b, m) == expect
+
+
 def _add(a, b, p):
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):

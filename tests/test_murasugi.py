@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from freeperiod import (
     IntPoly,
     MurasugiHit,
-    cyclotomic,
     factor_over_z,
     murasugi_screen,
     murasugi_screen_all,
     parse_poly,
     verify_hit,
 )
-from freeperiod.cyclotomic import prime_power
+from freeperiod.cyclotomic import cyclotomic, prime_power
 from freeperiod.modpoly import gfp_divmod, reduce_mod_p
 from freeperiod.murasugi import _run_power
 

@@ -10,8 +10,6 @@ polynomials.
 
 from .cyclotomic import (
     cyclotomic_tag,
-    inflate_cyclotomic,
-    is_cyclotomic_product,
     phi_inverse,
     prime_power,
 )
@@ -27,7 +25,6 @@ from .hartley import (
     hartley_profile,
     hartley_set,
     is_n_hartley,
-    nth_power_product,
     power_index,
     profile_from_factors,
     rational_power_index,
@@ -80,15 +77,12 @@ __all__ = [
     "hartley_knot_check",
     "hartley_profile",
     "hartley_set",
-    "inflate_cyclotomic",
     "ingest_csv",
-    "is_cyclotomic_product",
     "is_n_hartley",
     "m_min_log2",
     "murasugi_screen",
     "murasugi_screen_all",
     "normalize_alexander",
-    "nth_power_product",
     "parse_poly",
     "phi_inverse",
     "power_index",

@@ -9,12 +9,9 @@ t^m - 1 = prod_{d | m} Phi_d.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .intpoly import IntPoly
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .zfactor import FactoredPoly
 
 
 # -- elementary arithmetic -------------------------------------------------
@@ -126,30 +123,3 @@ def cyclotomic_tag(f: IntPoly) -> Optional[int]:
             return m
     return None
 
-
-def is_cyclotomic_product(fp: "FactoredPoly") -> bool:
-    """True iff every irreducible factor of fp is some t^k or Phi_m.
-
-    The empty factor list (units and constants) counts as a cyclotomic
-    product, matching the convention that an empty product is 1.
-    """
-    for g, _ in fp.factors:
-        if g == IntPoly.x():
-            continue
-        if cyclotomic_tag(g) is None:
-            return False
-    return True
-
-
-def inflate_cyclotomic(m: int, s: int) -> list[tuple[int, int]]:
-    """Factor Phi_m(t^s) as a multiset of cyclotomic orders.
-
-    Phi_m(t^s) = prod_{d | s} Phi_{m d} holds exactly when gcd(m, s) = 1;
-    each factor appears with multiplicity 1.  The coprime case is the only
-    one this package needs and the only one the identity covers.
-    """
-    import math
-
-    if math.gcd(m, s) != 1:
-        raise ValueError("inflation identity needs gcd(m, s) = 1")
-    return [(m * d, 1) for d in divisors(s)]

@@ -33,7 +33,7 @@ from .modpoly import (
     next_prime,
     reduce_mod_p,
 )
-from .zfactor import FactoredPoly, degree_set_filter, factor_over_z
+from .zfactor import degree_set_filter, factor_over_z
 
 INF = math.inf
 
@@ -123,13 +123,17 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     caller still certifies positives), and primes where f has no simple
     root are skipped without counting.
 
-    Each p^r walks its own _aux_primes(p^r) in ascending order, counting
-    one pass per simple root that is a residue, and stops once its passes
-    reach its tries.  The walks advance in lockstep: each round evaluates
-    f at every residue of every live walk's next q in one Horner pass over
-    the concatenated ranges, with a per-element modulus, so a round costs
-    the same numpy calls however many walks it carries.  Coefficients are
-    reduced mod q as Python ints first, since f may exceed int64.
+    Each p^r walks its own _aux_primes(p^r) in ascending order and stops
+    once its passes reach its tries.  A q counts one pass when it gives a
+    residue root and no rejection, however many roots it gives: the roots
+    of a palindromic f come in pairs {x, 1/x} of the same character, so
+    counting roots would spend the tries on half as many primes.
+
+    The walks advance in lockstep: each round evaluates f at every residue
+    of every live walk's next q in one Horner pass over the concatenated
+    ranges, with a per-element modulus, so a round costs the same numpy
+    calls however many walks it carries.  Coefficients are reduced mod q as
+    Python ints first, since f may exceed int64.
     """
     coeffs = f.coeffs
     f0 = coeffs[0]
@@ -161,6 +165,7 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
         zeros = np.nonzero(vals == 0)[0]
         starts = starts.tolist()
         derivs: dict[int, list[int]] = {}
+        passed: set[int] = set()
         for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
             pr, q, fbar = batch[w]
             if pr in rejected:
@@ -174,10 +179,20 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
                 rejected.add(pr)
                 del walks[pr]
             else:
-                walks[pr][1] += 1
+                passed.add(pr)
+        for pr in passed - rejected:
+            walks[pr][1] += 1
 
 
 # -- the power test --------------------------------------------------------
+
+
+def _inflation_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
+    """Lexicographically least irreducible factor of f(t^k) of degree deg f,
+    or None; one exists exactly when the root of f is a k-th power in its
+    field."""
+    cands = [g for g, _ in factor_over_z(f.inflate(k)).factors if g.degree == f.degree]
+    return min(cands, key=lambda g: g.coeffs, default=None)
 
 
 def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
@@ -199,11 +214,9 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
         pr = p**rn
         if _power_residue_rejects(f, {pr: _screen_tries(pr)}):
             break
-        infl = f.inflate(pr)
-        if not degree_set_filter(infl, d, trials=2):
+        if not degree_set_filter(f.inflate(pr), d, trials=2):
             break
-        fac = factor_over_z(infl)
-        if not any(g.degree == d for g, _ in fac.factors):
+        if _inflation_factor(f, pr) is None:
             break
         r = rn
     return r
@@ -243,10 +256,8 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
         while p ** (max_r + 1) <= bound:
             max_r += 1
         e *= p ** power_index(f, p, max_r=max_r)
-    if e > 1:
-        fac = factor_over_z(f.inflate(e))
-        if not any(g.degree == d for g, _ in fac.factors):
-            raise AssertionError(f"E certification failed for {f} at E={e}")
+    if e > 1 and _inflation_factor(f, e) is None:
+        raise AssertionError(f"E certification failed for {f} at E={e}")
     return EValue.finite(e)
 
 
@@ -263,8 +274,8 @@ class HartleyProfile:
     (factor, multiplicity, EValue) triples for audit; t_power records a
     stripped power of t (no constraint: t^n = +-prod zeta^i t).
     e_gcd_literal is gcd(a_i E_i) over non-cyclotomic factors (0 if none),
-    the flat formula; gcd_matches_caps flags whether the two descriptions
-    agree (they can differ for mixed cyclotomic / non-cyclotomic input).
+    the flat formula; it can disagree with the caps for mixed cyclotomic /
+    non-cyclotomic input.
     """
 
     caps: tuple[tuple[int, float], ...]
@@ -290,12 +301,6 @@ class HartleyProfile:
         for p, c in self.caps:
             out *= p ** int(c)
         return out
-
-    @property
-    def gcd_matches_caps(self) -> bool:
-        if self.default_cap == 0:
-            return self.n_cap_product == self.e_gcd_literal
-        return self.e_gcd_literal == 0 and not self.caps
 
 
 def _s_value(ev: EValue, p: int) -> float:
@@ -469,13 +474,6 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     return IntPoly(tuple(reversed(out)))
 
 
-def nth_power_product(g: IntPoly, n: int) -> IntPoly:
-    """prod_{i=0}^{n-1} g(zeta_n^i t), expanded as an integer polynomial."""
-    r = rotation_product_deflated(g, n)
-    eps = (-1) ** ((n - 1) * (g.degree if g else 0))
-    return (r * eps).inflate(n)
-
-
 def verify_witness(delta: IntPoly, n: int, g: IntPoly) -> tuple[bool, Optional[int]]:
     """Does Delta(t^n) equal +-prod_{i<n} g(zeta_n^i t)?  Exact check.
 
@@ -495,15 +493,6 @@ def verify_witness(delta: IntPoly, n: int, g: IntPoly) -> tuple[bool, Optional[i
     if delta == -cand:
         return (True, -1)
     return (False, None)
-
-
-def _lex_least_degree_factor(f: IntPoly, d: int) -> Optional[IntPoly]:
-    """Lexicographically least degree-d irreducible factor of f."""
-    fac = factor_over_z(f)
-    cands = [g for g, _ in fac.factors if g.degree == d]
-    if not cands:
-        return None
-    return min(cands, key=lambda g: g.coeffs)
 
 
 def _witness_s(ev: EValue, n: int) -> int:
@@ -542,7 +531,7 @@ def construct_witness(
                 cands.append(cyclotomic(2 * m))
             w = min(cands, key=lambda c: c.coeffs)
         else:
-            w = _lex_least_degree_factor(f.inflate(s), f.degree)
+            w = _inflation_factor(f, s)
             if w is None:
                 raise AssertionError(f"guaranteed degree-{f.degree} factor missing for {f}")
         g = g * w.inflate(n // s) ** exp

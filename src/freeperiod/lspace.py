@@ -34,7 +34,7 @@ from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly
 from .murasugi import MurasugiHit, murasugi_screen_all
-from .zfactor import FactoredPoly, factor_over_z
+from .zfactor import factor_over_z
 
 SCHEMA_VERSION = 1
 
@@ -214,8 +214,7 @@ def candidate_record(cand: Candidate,
         hits = None
         e_gcd = None
     else:
-        fp = FactoredPoly(sign=1, content=1, factors=factors)
-        hits = tuple(murasugi_screen_all(cand.poly, factors=fp))
+        hits = tuple(murasugi_screen_all(cand.poly))
         e_gcd = profile.e_gcd_literal
     return CandidateRecord(candidate=cand, factors=factors,
                            cyclotomic_product=cyclo, hartley=hset,

@@ -163,14 +163,14 @@ def _reduced_divisor_set(factored: FactoredPoly, p: int) -> set[tuple[int, ...]]
     return full
 
 
-def murasugi_screen(delta: IntPoly, q: int, *,
-                    factors: FactoredPoly | None = None) -> list[MurasugiHit]:
+def murasugi_screen(delta: IntPoly, q: int) -> list[MurasugiHit]:
     """All Murasugi-congruence solutions for delta at period q.
 
     Requires delta(0) != 0 and delta(1) = +-1; raises ValueError otherwise
     and when q is not a prime power.  For p = 2 only sign +1 is reported
-    since -1 = +1 mod 2.  Passing a precomputed factorization of delta
-    skips refactoring when computing the divides flags.
+    since -1 = +1 mod 2.  delta is factored over Z (memoized by
+    factor_over_z) only when the congruence has a solution, to set the
+    divides flags.
     """
     p = _prime_of(q)
     _require_screenable(delta)
@@ -194,9 +194,7 @@ def murasugi_screen(delta: IntPoly, q: int, *,
             lam += 1
     if not raw:
         return []
-    if factors is None:
-        factors = factor_over_z(delta)
-    reduced = _reduced_divisor_set(factors, p)
+    reduced = _reduced_divisor_set(factor_over_z(delta), p)
     hits = []
     for lam, shift, sign, d_bar in sorted(
             raw, key=lambda r: (r[0], r[1], -r[2], r[3])):
@@ -207,8 +205,7 @@ def murasugi_screen(delta: IntPoly, q: int, *,
     return hits
 
 
-def murasugi_screen_all(delta: IntPoly, *,
-                        factors: FactoredPoly | None = None) -> list[MurasugiHit]:
+def murasugi_screen_all(delta: IntPoly) -> list[MurasugiHit]:
     """Run murasugi_screen at every prime power q with q - 1 <= deg delta.
 
     Larger q admit no solution except when delta reduces to a monomial, so
@@ -218,10 +215,8 @@ def murasugi_screen_all(delta: IntPoly, *,
     """
     _require_screenable(delta)
     top = max(int(delta.degree), 1) + 1
-    if factors is None:
-        factors = factor_over_z(delta)
     hits = []
     for q in range(2, top + 1):
         if prime_power(q) is not None:
-            hits.extend(murasugi_screen(delta, q, factors=factors))
+            hits.extend(murasugi_screen(delta, q))
     return hits

@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
 from .intpoly import IntPoly, content_primitive
 from .modpoly import (
@@ -39,6 +41,11 @@ from .modpoly import (
 _SUBSET_CAP = 1 << 20
 _PROBE_COUNT = 3
 _EXTRA_PROBES = 5
+# factor_over_z memo size: one query chain (profile, E certification,
+# witness, Murasugi divides flags) revisits Delta and the inflations f(t^k)
+# of its factors, far fewer polynomials than this; the bound keeps a long
+# survey, which factors each candidate once, from growing the memo forever
+_FACTOR_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -211,17 +218,15 @@ def _mignotte_level(f: IntPoly, p: int) -> int:
     return l
 
 
-def _good_primes(f: IntPoly, start: int, count: int) -> list[int]:
-    """Odd primes keeping f squarefree with unit leading coefficient."""
-    out = []
-    p = start
-    while len(out) < count:
+def _good_primes(f: IntPoly) -> Iterator[int]:
+    """Odd primes keeping f squarefree with unit leading coefficient, ascending."""
+    p = 3
+    while True:
         if f.lc % p:
             fb = reduce_mod_p(f.coeffs, p)
             if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
-                out.append(p)
+                yield p
         p = next_prime(p)
-    return out
 
 
 def _subset_degrees(degs: list[int]) -> int:
@@ -267,45 +272,28 @@ def _sym(x: int, m: int) -> int:
 
 
 def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial."""
+    """Irreducible factors of a primitive squarefree positive-lc polynomial.
+
+    Probes _PROBE_COUNT good primes, then up to _EXTRA_PROBES more while the
+    sparsest pattern seen still leaves more than _SUBSET_CAP subsets to
+    recombine; the first prime with the fewest modular factors is lifted.
+    """
     if f.degree <= 1:
         return [f] if f.degree == 1 else []
     probes: list[tuple[int, list[int]]] = []  # (prime, degree multiset)
     possible = (1 << (f.degree + 1)) - 1
-    for p in _good_primes(f, 3, _PROBE_COUNT):
+    trivial = 1 | (1 << f.degree)
+    for p in _good_primes(f):
         degs = ddf_degree_multiset(reduce_mod_p(f.coeffs, p), p)
-        if len(degs) == 1:
+        possible &= _subset_degrees(degs)
+        if len(degs) == 1 or not possible & ~trivial:
             return [f]
         probes.append((p, degs))
-        possible &= _subset_degrees(degs)
-    proper = possible & ~(1 | (1 << f.degree))
-    if proper == 0:
-        return [f]
-    probes.sort(key=lambda pr: len(pr[1]))
-    best_p, best_degs = probes[0]
-    if _combo_budget(len(best_degs)) > _SUBSET_CAP:
-        # hunt for a sparser factorization pattern before recombining
-        start = next_prime(max(pr[0] for pr in probes))
-        extra = []
-        p = start
-        seen = 0
-        while seen < _EXTRA_PROBES:
-            found = _good_primes(f, p, 1)
-            q = found[0]
-            degs = ddf_degree_multiset(reduce_mod_p(f.coeffs, q), q)
-            if len(degs) == 1:
-                return [f]
-            extra.append((q, degs))
-            seen += 1
-            p = next_prime(q)
-        for q, degs in extra:
-            possible &= _subset_degrees(degs)
-        proper = possible & ~(1 | (1 << f.degree))
-        if proper == 0:
-            return [f]
-        for q, degs in extra:
-            if len(degs) < len(best_degs):
-                best_p, best_degs = q, degs
+        best_p, best_degs = min(probes, key=lambda pr: len(pr[1]))
+        if len(probes) == _PROBE_COUNT + _EXTRA_PROBES or (
+                len(probes) >= _PROBE_COUNT
+                and _combo_budget(len(best_degs)) <= _SUBSET_CAP):
+            break
     return _zassenhaus(f, best_p, possible)
 
 
@@ -359,12 +347,16 @@ def _zassenhaus(f: IntPoly, p: int, possible: int) -> list[IntPoly]:
     return found
 
 
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def factor_over_z(f: IntPoly) -> FactoredPoly:
     """Complete irreducible factorization over Z.
 
     Content and sign come out first, then any power of t, then Yun parts
     feed the Zassenhaus engine.  Factors are primitive, positive-lc,
-    pairwise distinct, sorted by (degree, coefficients).
+    pairwise distinct, sorted by (degree, coefficients).  Memoized: the
+    profile, the E certification, the witness and the Murasugi divides
+    flags all ask about the same Delta and the same inflations, and the
+    frozen result is safe to share.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")

@@ -4,14 +4,11 @@ import math
 import types
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from freeperiod import (
     IntPoly,
     cyclotomic_tag,
-    factor_over_z,
-    inflate_cyclotomic,
-    is_cyclotomic_product,
     phi_inverse,
     prime_power,
 )
@@ -109,28 +106,3 @@ def test_cyclotomic_tag_rejects_others():
     assert cyclotomic_tag(IntPoly((-1, 1, 1))) is None
     assert cyclotomic_tag(IntPoly((2, 2))) is None
     assert cyclotomic_tag(IntPoly((1, 1)) * IntPoly((1, -1, 1))) is None
-
-
-@given(st.integers(min_value=1, max_value=20),
-       st.integers(min_value=1, max_value=6))
-def test_inflate_cyclotomic_expands_correctly(m, s):
-    assume(math.gcd(m, s) == 1)
-    prod = IntPoly.one()
-    for k, e in inflate_cyclotomic(m, s):
-        prod = prod * cyclotomic(k) ** e
-    assert prod == cyclotomic(m).inflate(s)
-
-
-def test_inflate_cyclotomic_needs_coprimality():
-    with pytest.raises(ValueError):
-        inflate_cyclotomic(2, 2)
-
-
-def test_is_cyclotomic_product():
-    assert is_cyclotomic_product(factor_over_z(
-        IntPoly.monomial(12) - IntPoly.one()))
-    assert not is_cyclotomic_product(factor_over_z(
-        IntPoly((4, -17, 38, -51, 38, -17, 4))))
-    # the flag looks at irreducible factors only; content and t^k pass
-    assert is_cyclotomic_product(factor_over_z(IntPoly((2, 2))))
-    assert is_cyclotomic_product(factor_over_z(IntPoly((0, 0, 1, 1))))

@@ -19,7 +19,6 @@ from freeperiod import (
     hartley_profile,
     hartley_set,
     is_n_hartley,
-    nth_power_product,
     parse_poly,
     power_index,
     prime_bound,
@@ -100,7 +99,8 @@ def test_power_index_composite_p_rejected():
 
 
 def reference_residue_reject(f: IntPoly, pr: int, tries: int) -> bool:
-    """One p^r at a time, one numpy evaluation of f per auxiliary prime."""
+    """One p^r at a time, one numpy evaluation of f per auxiliary prime;
+    a q with a residue root and no rejection counts one pass."""
     passes = 0
     for q in _aux_primes(pr):
         if passes >= tries:
@@ -112,13 +112,15 @@ def reference_residue_reject(f: IntPoly, pr: int, tries: int) -> bool:
             for c in reversed(fbar):
                 vals = (vals * xs + c) % q
             dbar = gfp_deriv(fbar, q)
+            residue = False
             for x in np.nonzero(vals == 0)[0]:
                 x = int(x)
                 if gfp_eval(dbar, x, q) == 0:
                     continue
                 if pow(x, (q - 1) // pr, q) != 1:
                     return True
-                passes += 1
+                residue = True
+            passes += residue
     return False
 
 
@@ -158,7 +160,8 @@ def screen_polys(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(screen_polys(), st.sampled_from(SCREEN_LEVELS))
-# two passing roots mod one q end the walk at 2 at tries 2; the next q rejects
+# two passing roots mod one q count one pass, so at tries 2 the walk goes on
+# to the next q, which rejects (counting roots would stop it there)
 @example(parse_poly("2t^10 - 2t^9 + 3t^8 + t^7 + 4t^6 + 2t^5 + 2t^4 - 2t^3 + t^2 + 3"),
          SCREEN_LEVELS[1])
 def test_batched_residue_screen_matches_per_prime_loop(f, levels):
@@ -220,6 +223,21 @@ def test_e_of_irreducible_rigorous_degree_20_is_quick():
     f = Candidate.from_gap_set(10, frozenset({16, 12})).poly
     assert f.degree == 20 and factor_over_z(f).factors == ((f, 1),)
     assert prime_bound(f, BoundMode.RIGOROUS) <= 39
+    factor_over_z.cache_clear()
+    start = time.monotonic()
+    ev = e_of_irreducible.__wrapped__(f, BoundMode.RIGOROUS)  # uncached
+    assert time.monotonic() - start < 10.0
+    assert ev == EValue.finite(1)
+
+
+def test_e_of_irreducible_rigorous_stall_candidate_is_quick():
+    # counting one pass per residue root let a residue pair {x, 1/x} at each
+    # of q = 419, 647 use up the p = 19 tries, and power_index then factored
+    # the degree-608 inflation f(t^19) for about 50 s
+    f = Candidate.from_gap_set(16, frozenset({31, 29, 28, 27, 22, 18})).poly
+    assert f.degree == 32 and factor_over_z(f).factors == ((f, 1),)
+    assert _power_residue_rejects(f, {19: 4}) == {19}
+    factor_over_z.cache_clear()
     start = time.monotonic()
     ev = e_of_irreducible.__wrapped__(f, BoundMode.RIGOROUS)  # uncached
     assert time.monotonic() - start < 10.0
@@ -241,8 +259,7 @@ def test_profile_noncyclotomic_finite():
     prof = hartley_profile(FIG8)
     assert prof.default_cap == 0
     assert prof.caps == ((2, 1),)
-    assert prof.n_cap_product == 2
-    assert prof.e_gcd_literal == 2 and prof.gcd_matches_caps
+    assert prof.n_cap_product == prof.e_gcd_literal == 2
     assert is_n_hartley(prof, 2)
     assert not any(is_n_hartley(prof, n) for n in (3, 4, 5, 6, 8))
 
@@ -251,8 +268,8 @@ def test_profile_mixed_gcd_mismatch():
     # Phi_6 forbids n = 2 although the flat gcd formula still reports 2
     prof = profile_from_factors([(cyclotomic(6), 1), (FIG8, 1)])
     assert prof.e_gcd_literal == 2
-    assert prof.cap(2) == 0
-    assert not prof.gcd_matches_caps
+    assert prof.cap(2) == 0 and prof.caps == ()
+    assert prof.n_cap_product == 1
     assert hartley_set(prof).members == ()
 
 
@@ -348,12 +365,14 @@ def rotation_product_reference(g: IntPoly, n: int) -> list[IntPoly]:
        st.integers(min_value=2, max_value=5))
 def test_rotation_product_matches_quotient_ring(g, n):
     ref = rotation_product_reference(g, n)
-    got = nth_power_product(g, n)
-    # the symmetric product collapses to rational integers
+    r = rotation_product_deflated(g, n)
+    eps = (-1) ** ((n - 1) * g.degree)
+    # the symmetric product collapses to rational integers: it is eps * R(t^n)
     assert all(c.degree <= 0 for c in ref)
     ref_map = {k: c[0] for k, c in enumerate(ref) if c}
-    got_map = {k: c for k, c in enumerate(got.coeffs) if c}
+    got_map = {k * n: eps * c for k, c in enumerate(r.coeffs) if c}
     assert ref_map == got_map
+    assert r.degree == g.degree
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,10 +381,12 @@ def test_rotation_product_matches_quotient_ring(g, n):
                           min_size=1, max_size=5)).filter(bool),
        st.integers(min_value=2, max_value=5))
 def test_nth_power_product_supported_on_multiples(g, n):
-    prod = nth_power_product(g, n)
-    r = rotation_product_deflated(g, n)
-    assert prod.deflate(n) == r * (-1) ** ((n - 1) * g.degree)
-    assert prod.degree == g.degree * n
+    # prod_{i<n} g(z^i t) has nonzero coefficients only at multiples of n
+    # and degree n * deg g
+    ref = rotation_product_reference(g, n)
+    support = [k for k, c in enumerate(ref) if c]
+    assert all(k % n == 0 for k in support)
+    assert max(support) == g.degree * n
 
 
 def test_verify_witness_fig8():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from freeperiod import (
     IntPoly,
     MurasugiHit,
-    factor_over_z,
     murasugi_screen,
     murasugi_screen_all,
     parse_poly,
@@ -239,12 +238,6 @@ def test_verify_hit_rejects_tampered_hits():
     bad_shift = MurasugiHit(q=2, lam=good.lam, quotient=good.quotient,
                             shift=0, sign=1, divides=False)
     assert not any(verify_hit(K14, h) for h in (bad_lam, bad_quo, bad_shift))
-
-
-def test_precomputed_factors_do_not_change_output():
-    fp = factor_over_z(K14)
-    assert murasugi_screen(K14, 2, factors=fp) == murasugi_screen(K14, 2)
-    assert murasugi_screen_all(K14, factors=fp) == murasugi_screen_all(K14)
 
 
 def test_congruence_rendering():

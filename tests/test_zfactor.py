@@ -3,9 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeperiod import IntPoly, content_primitive, factor_over_z, parse_poly
+from freeperiod import (
+    IntPoly,
+    construct_witness,
+    content_primitive,
+    factor_over_z,
+    hartley_profile,
+    murasugi_screen_all,
+    parse_poly,
+)
+from freeperiod import zfactor
 from freeperiod.cyclotomic import cyclotomic, divisors
 from freeperiod.zfactor import degree_set_filter, gcd_z, squarefree_decompose
+from polys import K14
 
 small_polys = st.builds(
     lambda cs: IntPoly(tuple(cs)),
@@ -157,6 +167,43 @@ def test_factors_are_idempotently_irreducible(g):
         again = factor_over_z(f)
         assert again.factors == ((f, 1),)
         assert again.sign == 1 and again.content == 1
+
+
+def _probe_primes(monkeypatch, f):
+    probed = []
+    real = zfactor.ddf_degree_multiset
+    monkeypatch.setattr(zfactor, "ddf_degree_multiset",
+                        lambda fb, p: probed.append(p) or real(fb, p))
+    return factor_over_z(f), probed
+
+
+def test_probe_loop_stops_at_three_when_recombination_is_cheap(monkeypatch):
+    fac, probed = _probe_primes(monkeypatch, K14)
+    assert len(fac.factors) == 2 and probed == [3, 5, 7]
+
+
+def test_probe_loop_hunts_five_more_for_a_sparser_pattern(monkeypatch):
+    # 22 linear factors modulo every good prime leave about 2^21 subsets
+    f = IntPoly.one()
+    for i in range(1, 23):
+        f = f * IntPoly((-i, 1))
+    fac, probed = _probe_primes(monkeypatch, f)
+    assert dict(fac.factors) == {IntPoly((-i, 1)): 1 for i in range(1, 23)}
+    assert probed == [23, 29, 31, 37, 41, 43, 47, 53]
+
+
+def test_query_chain_factors_delta_once(monkeypatch):
+    # the profile, the witness (which rebuilds the profile) and the Murasugi
+    # divides flags all ask for the factorization of Delta; the memo answers
+    # all but the first
+    seen = []
+    real = zfactor.squarefree_decompose
+    monkeypatch.setattr(zfactor, "squarefree_decompose",
+                        lambda f: seen.append(f) or real(f))
+    hartley_profile(K14)
+    construct_witness(K14, 2)
+    assert any(h.divides for h in murasugi_screen_all(K14))
+    assert seen.count(K14) == 1
 
 
 def test_factor_zero_rejected():

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .cyclotomic import cyclotomic, cyclotomic_tag, divisors, factorint, v_p
-from .intpoly import IntPoly, content_primitive
+from .intpoly import IntPoly, content_primitive, trace_reduce
 from .mahler import BoundMode, prime_bound
 from .modpoly import (
     gfp_deriv,
@@ -110,6 +110,20 @@ def _screen_tries(pr: int) -> int:
     return 8 if pr == 2 else 4
 
 
+def _lucas_v(y: int, n: int, q: int) -> int:
+    """V_n(y) mod q for V_0 = 2, V_1 = y, V_k = y V_(k-1) - V_(k-2), the
+    recurrence of intpoly.trace_reduce: V_n(x + 1/x) = x^n + x^-n.  Binary
+    ladder on (V_k, V_(k+1)) with V_2k = V_k^2 - 2 and
+    V_(2k+1) = V_k V_(k+1) - y."""
+    v, w = 2, y % q
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = (v * w - y) % q, (w * w - 2) % q
+        else:
+            v, w = (v * v - 2) % q, (v * w - y) % q
+    return v
+
+
 def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     """The p^r in levels for which some auxiliary prime PROVES that the
     root is not a p^r-th power; levels maps each p^r to its tries.
@@ -129,18 +143,28 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     of a palindromic f come in pairs {x, 1/x} of the same character, so
     counting roots would spend the tries on half as many primes.
 
-    The walks advance in lockstep: each round evaluates f at every residue
-    of every live walk's next q in one Horner pass over the concatenated
-    ranges, with a per-element modulus, so a round costs the same numpy
-    calls however many walks it carries.  Coefficients are reduced mod q as
-    Python ints first, since f may exceed int64.
+    A palindromic f of degree 2m is screened through its trace polynomial
+    h (f = t^m h(t + 1/t), degree m), with the same verdicts: a root y of
+    h mod q gives the roots x, 1/x of f mod q exactly when y^2 - 4 is a
+    nonzero square, they are simple exactly when y is a simple root of h
+    (y = +-2 would give the double root x = +-1), and x^e = 1 exactly when
+    the Lucas value V_e(y) = x^e + x^-e is 2.  Any other f is screened
+    directly.
+
+    The walks advance in lockstep: each round evaluates the screened
+    polynomial at every residue of every live walk's next q in one Horner
+    pass over the concatenated ranges, with a per-element modulus, so a
+    round costs the same numpy calls however many walks it carries.
+    Coefficients are reduced mod q as Python ints first, since f may
+    exceed int64.
     """
-    coeffs = f.coeffs
-    f0 = coeffs[0]
+    h = trace_reduce(f)
+    coeffs = f.coeffs if h is None else h.coeffs
+    f0 = f.coeffs[0]
     walks = {pr: [iter(_aux_primes(pr)), 0] for pr in levels}  # [qs, passes]
     rejected: set[int] = set()
     while True:
-        batch: list[tuple[int, int, list[int]]] = []  # (p^r, q, f mod q)
+        batch: list[tuple[int, int, list[int]]] = []  # (p^r, q, coeffs mod q)
         for pr, (qs, passes) in list(walks.items()):
             q = next((q for q in qs if f0 % q), None) if passes < levels[pr] else None
             if q is None:
@@ -154,11 +178,11 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
         owner = np.repeat(np.arange(len(batch)), sizes)
         mods = sizes[owner]
         xs = np.arange(int(sizes.sum()), dtype=np.int64) - starts[owner]
-        # row k holds coefficient k of every walk's f mod q; each Horner
-        # step gathers one row out to the elements
+        # row k holds coefficient k of every walk's polynomial mod q; each
+        # Horner step gathers one row out to the elements
         table = np.zeros((len(coeffs), len(batch)), dtype=np.int64)
-        for w, (_, _, fbar) in enumerate(batch):
-            table[: len(fbar), w] = fbar
+        for w, (_, _, gbar) in enumerate(batch):
+            table[: len(gbar), w] = gbar
         vals = np.zeros_like(xs)
         for row in table[::-1]:
             vals = (vals * xs + row[owner]) % mods
@@ -167,15 +191,19 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
         derivs: dict[int, list[int]] = {}
         passed: set[int] = set()
         for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
-            pr, q, fbar = batch[w]
+            pr, q, gbar = batch[w]
             if pr in rejected:
                 continue
-            x = i - starts[w]
-            if w not in derivs:
-                derivs[w] = gfp_deriv(fbar, q)
-            if gfp_eval(derivs[w], x, q) == 0:
+            z = i - starts[w]  # a root x of f, or y = x + 1/x of h
+            if h is not None and pow(z * z - 4, (q - 1) // 2, q) != 1:
                 continue
-            if pow(x, (q - 1) // pr, q) != 1:
+            if w not in derivs:
+                derivs[w] = gfp_deriv(gbar, q)
+            if gfp_eval(derivs[w], z, q) == 0:
+                continue
+            e = (q - 1) // pr
+            residue = pow(z, e, q) == 1 if h is None else _lucas_v(z, e, q) == 2
+            if not residue:
                 rejected.add(pr)
                 del walks[pr]
             else:

@@ -334,6 +334,64 @@ def graeffe(f: IntPoly) -> IntPoly:
     return -g if len(f.coeffs) % 2 == 0 else g
 
 
+# -- trace polynomials -----------------------------------------------------
+
+
+def _dickson(m: int) -> list[list[int]]:
+    """Coefficient lists of D_0..D_m, the polynomials with
+    D_k(t + 1/t) = t^k + t^-k: D_0 = 2, D_1 = x, D_k = x D_(k-1) - D_(k-2)."""
+    rows = [[2], [0, 1]]
+    while len(rows) <= m:
+        prev, cur = rows[-2], rows[-1]
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        rows.append(nxt)
+    return rows[: m + 1]
+
+
+def trace_reduce(f: IntPoly) -> "IntPoly | None":
+    """The trace polynomial h with f = t^m h(t + 1/t), or None.
+
+    Defined for palindromic f of even degree 2m: then
+    t^-m f = a_m + sum_k a_(m+k) (t^k + t^-k), so h = a_m + sum_k a_(m+k) D_k.
+    h has degree m, lc(h) = lc(f) and content(h) = content(f); the roots
+    of f are the x with x + 1/x a root of h.
+
+    >>> trace_reduce(IntPoly((1, -3, 1)))
+    IntPoly((-3, 1))
+    """
+    a = f.coeffs
+    if not a or len(a) % 2 == 0 or a != a[::-1]:
+        return None
+    m = len(a) // 2
+    out = [a[m]] + [0] * m
+    for k, row in enumerate(_dickson(m)[1:], start=1):
+        if a[m + k]:
+            for i, c in enumerate(row):
+                out[i] += a[m + k] * c
+    return IntPoly(tuple(out))
+
+
+def trace_lift(h: IntPoly) -> IntPoly:
+    """The palindromic f = t^m h(t + 1/t) of degree 2m = 2 deg h; inverts
+    trace_reduce by peeling h into the monic D_k from the top."""
+    if not h:
+        return h
+    m = len(h.coeffs) - 1
+    rest = list(h.coeffs)
+    out = [0] * (2 * m + 1)
+    rows = _dickson(m)
+    for k in range(m, 0, -1):
+        c = rest[k]
+        out[m + k] = out[m - k] = c
+        if c:
+            for i, d in enumerate(rows[k]):
+                rest[i] -= c * d
+    out[m] = rest[0]
+    return IntPoly(tuple(out))
+
+
 # Graeffe iterates tried by log_mahler_upper; each halves the relative slack
 # of Landau's bound at O(d^2) big-integer cost
 GRAEFFE_DEPTH = 6

@@ -13,15 +13,18 @@ into one big integer) beyond that.  The distinct-degree split uses the
 Frobenius map h -> h^p, which is F_p-linear: it builds the matrix Q of
 x^(ip) mod v once per input (Berlekamp's Q-matrix) and then advances one
 degree per numpy product h @ Q, in place of repeated squaring (von zur
-Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree splitting is
-randomized but seeded from a hash of the input, so factorizations are
-reproducible.
+Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree splitting and
+the quadratic-character test has_nonsquare_factor take (p^k - 1)/2 powers
+from the same matrix, as products of Frobenius images of a (p - 1)/2
+power.  Equal-degree splitting is randomized but seeded from a hash of the
+input, so factorizations are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -257,17 +260,21 @@ def _frobenius_matrix(v: list[int], p: int, dtype) -> np.ndarray:
     return q
 
 
-def distinct_degree_split(v: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split monic squarefree v into (product of degree-d irreducibles, d).
+@lru_cache(maxsize=1)
+def _split_with_matrix(
+    coeffs: tuple[int, ...], p: int
+) -> tuple[list[tuple[list[int], int]], np.ndarray | None]:
+    """distinct_degree_split and the Frobenius matrix of v it used (None
+    below degree 2, where no degree needs a Frobenius step).
 
-    h = x^(p^d) mod v advances one Frobenius step per degree as h @ Q
-    (see _frobenius_matrix); h stays reduced modulo the input v, and
-    gcd(h - x, v) reduces it modulo the shrinking cofactor.  Entries stay
-    below (p-1)^2 n, so int64 serves while that fits and exact Python
-    integers (dtype=object) beyond.
+    The last split is kept: zfactor's trace path asks for the degree
+    multiset of h mod p and then for has_nonsquare_factor on the same h,
+    which reuses it.  Callers must not mutate what it returns.
     """
+    v = list(coeffs)
     parts: list[tuple[list[int], int]] = []
     n = len(v) - 1
+    q = None
     d = 0
     if n >= 2:
         dtype = np.int64 if (p - 1) * (p - 1) * n < _NUMPY_LIMIT else object
@@ -283,7 +290,54 @@ def distinct_degree_split(v: list[int], p: int) -> list[tuple[list[int], int]]:
                 v = gfp_divmod(v, g, p)[0]
     if len(v) > 1:
         parts.append((v, len(v) - 1))
-    return parts
+    return parts, q
+
+
+def distinct_degree_split(v: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Split monic squarefree v into (product of degree-d irreducibles, d).
+
+    h = x^(p^d) mod v advances one Frobenius step per degree as h @ Q
+    (see _frobenius_matrix); h stays reduced modulo the input v, and
+    gcd(h - x, v) reduces it modulo the shrinking cofactor.  Entries stay
+    below (p-1)^2 n, so int64 serves while that fits and exact Python
+    integers (dtype=object) beyond.
+    """
+    return _split_with_matrix(tuple(v), p)[0]
+
+
+def _half_power(
+    a: list[int], k: int, u: list[int], q: np.ndarray | None, p: int
+) -> list[int]:
+    """a^((p^k - 1)/2) mod u for odd p, given the Frobenius matrix q of a
+    multiple of u.
+
+    (p^k - 1)/2 = (p - 1)/2 * (1 + p + ... + p^(k-1)), so the power is
+    the product of the Frobenius images b^(p^i), i < k, of
+    b = a^((p-1)/2): one matrix-vector product each, in place of
+    k log2(p) squarings.  Reducing a multiple of u's Frobenius image
+    modulo u gives u's own.
+    """
+    b = gfp_powmod(a, (p - 1) // 2, u, p)
+    out = img = b
+    for _ in range(k - 1):
+        vec = np.zeros(len(q), dtype=q.dtype)
+        vec[: len(img)] = img
+        img = gfp_mod(_trim((vec @ q % p).tolist()), u, p)
+        out = gfp_mod(gfp_mul(out, img, p), u, p)
+    return out
+
+
+def has_nonsquare_factor(a: list[int], v: list[int], p: int) -> bool:
+    """True when a is a non-square modulo some irreducible factor of v.
+
+    v is monic and squarefree, p odd, and a a unit modulo v.  On the
+    block U_k of v's degree-k irreducibles, a^((p^k - 1)/2) is +-1 modulo
+    each of them, so it is 1 modulo U_k exactly when a is a square modulo
+    all of them.  A factor dividing a would read as a non-square, so the
+    unit condition is the caller's to ensure.
+    """
+    parts, q = _split_with_matrix(tuple(v), p)
+    return any(_half_power(a, k, u, q, p) != [1] for u, k in parts)
 
 
 def ddf_degree_multiset(f: list[int], p: int) -> list[int]:
@@ -294,8 +348,10 @@ def ddf_degree_multiset(f: list[int], p: int) -> list[int]:
     return sorted(out)
 
 
-def _edf(u: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Equal-degree splitting: u = product of irreducibles of degree d."""
+def _edf(u: list[int], d: int, p: int, q: np.ndarray | None,
+         rng: random.Random) -> list[list[int]]:
+    """Equal-degree splitting: u = product of irreducibles of degree d;
+    q is the Frobenius matrix of a multiple of u."""
     n = len(u) - 1
     if n == d:
         return [u]
@@ -313,11 +369,11 @@ def _edf(u: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
                 tr = gfp_sub(tr, [p - c for c in b], p)
             g = gfp_gcd(tr, u, p)
         else:
-            b = gfp_powmod(a, (p**d - 1) // 2, u, p)
+            b = _half_power(a, d, u, q, p)
             g = gfp_gcd(gfp_sub(b, [1], p), u, p)
         if 0 < len(g) - 1 < n:
-            left = _edf(g, d, p, rng)
-            right = _edf(gfp_divmod(u, g, p)[0], d, p, rng)
+            left = _edf(g, d, p, q, rng)
+            right = _edf(gfp_divmod(u, g, p)[0], d, p, q, rng)
             return left + right
 
 
@@ -330,7 +386,8 @@ def factor_squarefree_mod_p(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of squarefree monic f, sorted."""
     rng = random.Random(_seed_for(p, f))
     out: list[list[int]] = []
-    for prod, d in distinct_degree_split(f, p):
-        out.extend(_edf(prod, d, p, rng))
+    parts, q = _split_with_matrix(tuple(f), p)
+    for prod, d in parts:
+        out.extend(_edf(prod, d, p, q, rng))
     return sorted(out, key=lambda g: (len(g), tuple(reversed(g))))
 

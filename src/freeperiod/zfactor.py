@@ -8,6 +8,23 @@ recombine subsets smallest-first with exact division checks.  Everything is
 deterministic: probe primes ascend from 3, equal-degree splitting is seeded
 from the input, subsets enumerate in sorted index order.
 
+A palindromic f of even degree 2m (every survey candidate, every factor of
+one and every inflation f(t^k) of such a factor) is probed at half the
+degree, through its trace polynomial h with f = t^m h(t + 1/t)
+(intpoly.trace_reduce; Boyd, Math. Comp. 35, 1980).  When h is irreducible
+with root y, the roots of f are those of t^2 - y t + 1 over Q(y), so f is
+irreducible exactly when x^2 - 4 is a non-square in Q[x]/(h), and
+otherwise f = c g g* with deg g = m and g* the reciprocal of g.  The probe
+primes are those keeping f squarefree: p does not divide lc(h) or
+h(2) h(-2), and h mod p is squarefree.  One loop sieves h and looks for a
+non-square: free when the norm h(2) h(-2) / lc(h)^2 of x^2 - 4 is not a
+rational square, else proved by an irreducible factor of h mod p modulo
+which x^2 - 4 is a non-square (modpoly.has_nonsquare_factor; at a prime
+dividing h(2) h(-2) the factor x -+ 2 would read as one).  When h splits,
+Zassenhaus factors h, and each factor's lift t^(m_i) h_i(t + 1/t) is
+factored the same way; when x^2 - 4 may be a square, Zassenhaus runs on f
+looking only for a degree-m factor.
+
 All modular arithmetic is modpoly's: the probes, gcds and the mod-p
 factorization need a prime modulus, while Hensel lifting and recombination
 call gfp_mul, gfp_add, gfp_sub and gfp_divmod with m = p^l (every divisor
@@ -22,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .intpoly import IntPoly, content_primitive
+from .intpoly import IntPoly, content_primitive, trace_lift, trace_reduce
 from .modpoly import (
     ddf_degree_multiset,
     factor_squarefree_mod_p,
@@ -31,8 +48,10 @@ from .modpoly import (
     gfp_divmod,
     gfp_extgcd,
     gfp_gcd,
+    gfp_monic,
     gfp_mul,
     gfp_sub,
+    has_nonsquare_factor,
     next_prime,
     reduce_mod_p,
 )
@@ -277,24 +296,52 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     Probes _PROBE_COUNT good primes, then up to _EXTRA_PROBES more while the
     sparsest pattern seen still leaves more than _SUBSET_CAP subsets to
     recombine; the first prime with the fewest modular factors is lifted.
+    A palindromic f of degree 2m is probed through its trace polynomial
+    h (f = t^m h(t + 1/t), degree m; see the module docstring), and once
+    h is proved irreducible the loop goes on to the last extra probe while
+    no non-square has turned up, since each further character test costs
+    less than Zassenhaus on f.
     """
     if f.degree <= 1:
         return [f] if f.degree == 1 else []
+    h = trace_reduce(f)
+    g = f if h is None else h  # what the probes sieve
+    # h(2) h(-2) / lc(h)^2 is the norm of x^2 - 4 from Q[x]/(h), a square
+    # when x^2 - 4 is one; the primes dividing it are where f mod p has a
+    # repeated root +-1 and x -+ 2 divides h mod p, so they are skipped
+    norm = 1 if h is None else h(2) * h(-2)
+    nonsquare = h is None or norm < 0 or math.isqrt(norm) ** 2 != norm
+    irreducible = False
     probes: list[tuple[int, list[int]]] = []  # (prime, degree multiset)
-    possible = (1 << (f.degree + 1)) - 1
-    trivial = 1 | (1 << f.degree)
-    for p in _good_primes(f):
-        degs = ddf_degree_multiset(reduce_mod_p(f.coeffs, p), p)
+    possible = (1 << (g.degree + 1)) - 1
+    trivial = 1 | (1 << g.degree)
+    for p in _good_primes(g):
+        if norm % p == 0:
+            continue
+        gb = reduce_mod_p(g.coeffs, p)
+        degs = ddf_degree_multiset(gb, p)
         possible &= _subset_degrees(degs)
-        if len(degs) == 1 or not possible & ~trivial:
+        irreducible = irreducible or len(degs) == 1 or not possible & ~trivial
+        if not nonsquare:
+            nonsquare = has_nonsquare_factor(reduce_mod_p((-4, 0, 1), p), gfp_monic(gb, p), p)
+        if irreducible and nonsquare:
             return [f]
         probes.append((p, degs))
         best_p, best_degs = min(probes, key=lambda pr: len(pr[1]))
         if len(probes) == _PROBE_COUNT + _EXTRA_PROBES or (
-                len(probes) >= _PROBE_COUNT
+                len(probes) >= _PROBE_COUNT and not irreducible
                 and _combo_budget(len(best_degs)) <= _SUBSET_CAP):
             break
-    return _zassenhaus(f, best_p, possible)
+    if h is None:
+        return _zassenhaus(f, best_p, possible)
+    if not irreducible:
+        parts = _zassenhaus(h, best_p, possible)
+        if len(parts) > 1:
+            return [u for part in parts for u in _factor_squarefree(trace_lift(part))]
+    if nonsquare:
+        return [f]
+    # h is irreducible, so f is irreducible or c * g * g* with deg g = m
+    return _zassenhaus(f, best_p, 1 << h.degree)
 
 
 def _combo_budget(k: int) -> int:

@@ -164,6 +164,17 @@ def screen_polys(draw):
 # to the next q, which rejects (counting roots would stop it there)
 @example(parse_poly("2t^10 - 2t^9 + 3t^8 + t^7 + 4t^6 + 2t^5 + 2t^4 - 2t^3 + t^2 + 3"),
          SCREEN_LEVELS[1])
+# palindromic f are screened through h with f = t^4 h(t + 1/t).  Here
+# f(1) = h(2) = 5, so mod 5 h has the root y = 2 and f the double root
+# x = 1, which must not count as a pass: counting it ends the walks of 2
+# and 3 before the primes that reject them
+@example(parse_poly("t^8 + 2t^7 + 2t^6 - 4t^5 + 3t^4 - 4t^3 + 2t^2 + 2t + 1"),
+         SCREEN_LEVELS[1])
+# here some root y of h mod q has y^2 - 4 a non-residue, so its x, 1/x
+# lie outside F_q and say nothing; reading V_e(y) there anyway would
+# reject 2, which no degree-1 root rejects
+@example(parse_poly("4t^8 + 3t^7 + 2t^6 - t^5 - 3t^4 - t^3 + 2t^2 + 3t + 4"),
+         SCREEN_LEVELS[1])
 def test_batched_residue_screen_matches_per_prime_loop(f, levels):
     assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeperiod import IntPoly, content_primitive, format_poly, parse_poly
-from freeperiod.intpoly import graeffe
+from freeperiod.intpoly import graeffe, trace_lift, trace_reduce
 
 polys = st.builds(
     lambda cs: IntPoly(tuple(cs)),
@@ -75,6 +75,37 @@ def test_palindromic_up_to_sign():
     assert IntPoly((4, -17, 38, -51, 38, -17, 4)).is_palindromic_up_to_sign()
     assert IntPoly((-1, 0, 1)).is_palindromic_up_to_sign()
     assert not IntPoly((1, -2, 3)).is_palindromic_up_to_sign()
+
+
+# palindromic polynomials of even degree 2m, m = 0..6, wide coefficients
+palindromes = st.builds(
+    lambda low, mid: IntPoly(tuple(low) + (mid,) + tuple(reversed(low))),
+    st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=6),
+    st.integers(min_value=-2**70, max_value=2**70),
+).filter(lambda f: f and f[0])
+
+
+@given(palindromes, st.fractions(min_value=-5, max_value=5).filter(bool))
+def test_trace_reduce_writes_f_as_t_m_h_of_t_plus_inverse(f, x):
+    h = trace_reduce(f)
+    m = f.degree // 2
+    assert h.degree == m and h.lc == f.lc and h.content() == f.content()
+    assert f(x) == x**m * h(x + 1 / x)
+    assert trace_lift(h) == f
+
+
+@given(nonzero_polys)
+def test_trace_lift_inverts_trace_reduce(h):
+    f = trace_lift(h)
+    assert f.degree == 2 * h.degree and f.coeffs == f.coeffs[::-1]
+    assert trace_reduce(f) == h
+
+
+def test_trace_reduce_needs_an_even_degree_palindrome():
+    assert trace_reduce(IntPoly((4, -17, 38, -51, 38, -17, 4))) == IntPoly((-17, 26, -17, 4))
+    assert trace_reduce(IntPoly((1, 1))) is None  # odd degree
+    assert trace_reduce(IntPoly((-1, 0, 1))) is None  # anti-palindromic
+    assert trace_reduce(IntPoly((1, -2, 3))) is None
 
 
 def test_order_at_zero_and_shift_down():

@@ -204,6 +204,13 @@ def test_survey_8_golden_hash(mode, expected):
     assert digest == expected
 
 
+def test_survey_9_rigorous_golden_hash():
+    # the benchmark's survey_g9_rigorous workload pins the same report
+    # (perfbench/workloads.py, PINNED_SHA256)
+    digest = hashlib.sha256(survey(9, BoundMode.RIGOROUS).to_json().encode()).hexdigest()
+    assert digest == "a6dc799bb62328ab0ca1847d2abd9145bb87d0993a4d584d6de47775198d6074"
+
+
 def test_survey_mode_is_recorded():
     rep = survey(2, mode=BoundMode.RIGOROUS)
     assert rep.mode is BoundMode.RIGOROUS

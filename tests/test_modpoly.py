@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod.modpoly import (
     _NUMPY_LIMIT,
+    _half_power,
+    _split_with_matrix,
     ddf_degree_multiset,
     distinct_degree_split,
     factor_squarefree_mod_p,
@@ -20,6 +22,7 @@ from freeperiod.modpoly import (
     gfp_mul,
     gfp_powmod,
     gfp_sub,
+    has_nonsquare_factor,
     is_prime,
     next_prime,
     reduce_mod_p,
@@ -253,6 +256,40 @@ def test_distinct_degree_split_matches_repeated_squaring(p, low):
     assert prod == f
     assert sorted(len(g) - 1 for g in factors) == sorted(
         d for part, d in expected for _ in range((len(part) - 1) // d))
+
+
+ODD_PRIMES = [3, 5, 7, 13]
+squarefree_inputs = st.tuples(
+    st.sampled_from(ODD_PRIMES),
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=24),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=24),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(squarefree_inputs)
+def test_half_power_matches_repeated_squaring(case):
+    # the Frobenius matrix of the whole input serves each block dividing it
+    p, low, a = case
+    f = [c % p for c in low] + [1]
+    assume(_is_squarefree(f, p))
+    a = reduce_mod_p(a, p)
+    parts, q = _split_with_matrix(tuple(f), p)
+    for u, k in parts:
+        assert _half_power(a, k, u, q, p) == gfp_powmod(a, (p**k - 1) // 2, u, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(squarefree_inputs)
+def test_has_nonsquare_factor_matches_factorwise_characters(case):
+    p, low, a = case
+    f = [c % p for c in low] + [1]
+    a = reduce_mod_p(a, p)
+    assume(_is_squarefree(f, p) and gfp_gcd(a, f, p) == [1])
+    chars = [gfp_powmod(a, (p ** (len(u) - 1) - 1) // 2, u, p)
+             for u in factor_squarefree_mod_p(f, p)]
+    assert all(c in ([1], [p - 1]) for c in chars)
+    assert has_nonsquare_factor(a, f, p) == (chars.count([1]) < len(chars))
 
 
 def test_distinct_degree_split_wide_prime_uses_exact_integers():

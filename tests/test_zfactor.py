@@ -14,6 +14,8 @@ from freeperiod import (
 )
 from freeperiod import zfactor
 from freeperiod.cyclotomic import cyclotomic, divisors
+from freeperiod.intpoly import trace_lift, trace_reduce
+from freeperiod.modpoly import gfp_monic, has_nonsquare_factor, reduce_mod_p
 from freeperiod.zfactor import degree_set_filter, gcd_z, squarefree_decompose
 from polys import K14
 
@@ -178,8 +180,36 @@ def _probe_primes(monkeypatch, f):
 
 
 def test_probe_loop_stops_at_three_when_recombination_is_cheap(monkeypatch):
-    fac, probed = _probe_primes(monkeypatch, K14)
+    # not palindromic, so f itself is probed
+    f = IntPoly((-3, -4, 0, 4)) * IntPoly((-2, 5, -5, 1))
+    fac, probed = _probe_primes(monkeypatch, f)
     assert len(fac.factors) == 2 and probed == [3, 5, 7]
+
+
+def test_trace_path_probes_the_trace_polynomial_of_k14(monkeypatch):
+    # K14 = -g g* with g = t^3 - 3t^2 + 5t - 4: its trace polynomial h is an
+    # irreducible cubic and x^2 - 4 is a square modulo h, so no character
+    # test succeeds and the loop runs all eight probes of h before
+    # Zassenhaus splits K14 itself; 13 divides h(2) h(-2) and is skipped
+    fac, probed = _probe_primes(monkeypatch, K14)
+    assert len(fac.factors) == 2 and probed == [3, 5, 7, 11, 17, 19, 23, 29]
+
+
+def test_k14_character_test_skips_primes_dividing_the_norm(monkeypatch):
+    h = trace_reduce(K14)
+    assert h == IntPoly((-17, 26, -17, 4)) and h(2) * h(-2) == 169
+    # h = (x + 2)(x^2 + 10x + 6) mod 13: the block x + 2 divides x^2 - 4,
+    # whose character there is 0, not 1, so the test misreads it as a
+    # non-square and would call K14 irreducible
+    x2_minus_4 = reduce_mod_p((-4, 0, 1), 13)
+    assert has_nonsquare_factor(x2_minus_4, gfp_monic(reduce_mod_p(h.coeffs, 13), 13), 13)
+    tested = []
+    real = zfactor.has_nonsquare_factor
+    monkeypatch.setattr(zfactor, "has_nonsquare_factor",
+                        lambda a, v, p: tested.append(p) or real(a, v, p))
+    fac = factor_over_z(K14)
+    assert fac.factors == ((IntPoly((-4, 5, -3, 1)), 1), (IntPoly((-1, 3, -5, 4)), 1))
+    assert tested and all(169 % p for p in tested)
 
 
 def test_probe_loop_hunts_five_more_for_a_sparser_pattern(monkeypatch):
@@ -248,3 +278,53 @@ def test_factor_over_z_matches_sympy(parts, unit):
     fac = factor_over_z(f)
     assert fac.sign * fac.content == const
     assert {g.coeffs: m for g, m in fac.factors} == expected
+
+
+def _assert_matches_sympy(f):
+    const, expected = _sympy_factorization(f)
+    fac = factor_over_z(f)
+    assert fac.sign * fac.content == const
+    assert {g.coeffs: m for g, m in fac.factors} == expected
+
+
+# palindromic polynomials t^m h(t + 1/t), built from their trace polynomial
+palindromic = st.builds(
+    lambda low, lc: trace_lift(IntPoly(tuple(low) + (lc,))),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonmonic_factors.filter(lambda g: g[0] and g.reverse() not in (g, -g)))
+def test_reciprocal_pair_matches_sympy(g):
+    # g g* is palindromic and x^2 - 4 is a square modulo its h
+    _assert_matches_sympy(g * g.reverse())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(palindromic, min_size=2, max_size=3))
+def test_palindromic_products_match_sympy(fs):
+    # the trace polynomial of a product of palindromes splits
+    f = IntPoly.one()
+    for g in fs:
+        f = f * g
+    _assert_matches_sympy(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(palindromic, st.sampled_from([IntPoly((1, 1)), IntPoly((-1, 1)), IntPoly((-1, 0, 1))]))
+def test_palindromes_carrying_t_plus_minus_one_match_sympy(f, lin):
+    # odd degree (t + 1), odd degree anti-palindromic (t - 1) and even
+    # degree anti-palindromic (t^2 - 1) inputs have no trace polynomial and
+    # keep the direct path; their squarefree parts may still be palindromes
+    _assert_matches_sympy(f * lin)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(lambda low, lc: trace_lift(IntPoly(tuple(low) + (lc,))),
+                 st.lists(st.integers(min_value=-2**70, max_value=2**70), min_size=1, max_size=3),
+                 st.integers(min_value=2, max_value=2**66)),
+       palindromic)
+def test_wide_nonmonic_palindromes_match_sympy(f, g):
+    _assert_matches_sympy(f * g)

@@ -124,6 +124,31 @@ def _lucas_v(y: int, n: int, q: int) -> int:
     return v
 
 
+def _residue_verdict(roots: list[int], gbar: list[int], q: int, pr: int,
+                     trace: bool) -> Optional[bool]:
+    """What the roots mod q of the screened polynomial gbar say about p^r:
+    False if a simple root proves the root of f is not a p^r-th power,
+    True if some simple root is a residue and none rejects, None if q
+    has no usable root."""
+    deriv = gfp_deriv(gbar, q)
+    e = (q - 1) // pr
+    verdict = None
+    for z in roots:  # a root x of f, or y = x + 1/x of h
+        if trace and pow(z * z - 4, (q - 1) // 2, q) != 1:
+            continue
+        if gfp_eval(deriv, z, q) == 0:
+            continue
+        if (_lucas_v(z, e, q) != 2) if trace else (pow(z, e, q) != 1):
+            return False
+        verdict = True
+    return verdict
+
+
+# residues one walk may evaluate per round: several of the small q of
+# p^r = 2, 3, 4, ... fit at once, and a walk always takes at least one q
+ROUND_RESIDUES = 128
+
+
 def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     """The p^r in levels for which some auxiliary prime PROVES that the
     root is not a p^r-th power; levels maps each p^r to its tries.
@@ -151,65 +176,79 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     the Lucas value V_e(y) = x^e + x^-e is 2.  Any other f is screened
     directly.
 
-    The walks advance in lockstep: each round evaluates the screened
-    polynomial at every residue of every live walk's next q in one Horner
-    pass over the concatenated ranges, with a per-element modulus, so a
-    round costs the same numpy calls however many walks it carries.
-    Coefficients are reduced mod q as Python ints first, since f may
-    exceed int64.
+    The walks advance in rounds.  In each round every live walk takes its
+    next auxiliary primes, skipping q | f(0), while their residues fit in
+    ROUND_RESIDUES (always at least one q), and one numpy Horner pass
+    evaluates the screened polynomial at every residue of every q taken,
+    over the concatenated ranges with a per-element modulus.  The pass
+    reduces mod q only every s steps: from a reduced value, s unreduced
+    steps stay below q^(s+1), so s is the largest with q_max^(s+1) < 2^62
+    for the round's largest q (s = 1 when q_max^3 >= 2^62).  Each walk
+    then replays its q in ascending order under the per-prime rules: a
+    rejection ends the walk, a q with a residue root counts one pass, and
+    reaching its tries ends the walk and drops the rest of its round, so
+    every verdict equals walking the primes one at a time.  Coefficients
+    are reduced mod q as Python ints first, since f may exceed int64.
     """
     h = trace_reduce(f)
     coeffs = f.coeffs if h is None else h.coeffs
     f0 = f.coeffs[0]
-    walks = {pr: [iter(_aux_primes(pr)), 0] for pr in levels}  # [qs, passes]
+    walks = {pr: [0, 0] for pr, tries in levels.items() if tries > 0}  # [next q index, passes]
     rejected: set[int] = set()
-    while True:
+    while walks:
         batch: list[tuple[int, int, list[int]]] = []  # (p^r, q, coeffs mod q)
-        for pr, (qs, passes) in list(walks.items()):
-            q = next((q for q in qs if f0 % q), None) if passes < levels[pr] else None
-            if q is None:
+        for pr, walk in list(walks.items()):
+            aux, i, room = _aux_primes(pr), walk[0], ROUND_RESIDUES
+            first = len(batch)
+            while i < len(aux) and (len(batch) == first or aux[i] <= room):
+                q = aux[i]
+                i += 1
+                if f0 % q:
+                    batch.append((pr, q, reduce_mod_p(coeffs, q)))
+                    room -= q
+            walk[0] = i
+            if len(batch) == first:
                 del walks[pr]
-            else:
-                batch.append((pr, q, reduce_mod_p(coeffs, q)))
         if not batch:
-            return rejected
+            break
         sizes = np.array([q for _, q, _ in batch], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         owner = np.repeat(np.arange(len(batch)), sizes)
         mods = sizes[owner]
         xs = np.arange(int(sizes.sum()), dtype=np.int64) - starts[owner]
-        # row k holds coefficient k of every walk's polynomial mod q; each
+        q_max = int(sizes.max())
+        s = 1
+        while q_max ** (s + 2) < 2**62:
+            s += 1
+        # row k holds coefficient k of every entry's polynomial mod q; each
         # Horner step gathers one row out to the elements
         table = np.zeros((len(coeffs), len(batch)), dtype=np.int64)
         for w, (_, _, gbar) in enumerate(batch):
             table[: len(gbar), w] = gbar
         vals = np.zeros_like(xs)
-        for row in table[::-1]:
-            vals = (vals * xs + row[owner]) % mods
-        zeros = np.nonzero(vals == 0)[0]
+        for step, row in enumerate(table[::-1], 1):
+            vals *= xs
+            vals += row[owner]
+            if step % s == 0 or step == len(table):
+                np.remainder(vals, mods, out=vals)
+        zeros = np.flatnonzero(vals == 0)
         starts = starts.tolist()
-        derivs: dict[int, list[int]] = {}
-        passed: set[int] = set()
+        roots: dict[int, list[int]] = {}  # entries ascend, so each walk's q do too
         for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
+            roots.setdefault(w, []).append(i - starts[w])
+        for w, zs in roots.items():
             pr, q, gbar = batch[w]
-            if pr in rejected:
-                continue
-            z = i - starts[w]  # a root x of f, or y = x + 1/x of h
-            if h is not None and pow(z * z - 4, (q - 1) // 2, q) != 1:
-                continue
-            if w not in derivs:
-                derivs[w] = gfp_deriv(gbar, q)
-            if gfp_eval(derivs[w], z, q) == 0:
-                continue
-            e = (q - 1) // pr
-            residue = pow(z, e, q) == 1 if h is None else _lucas_v(z, e, q) == 2
-            if not residue:
+            if pr not in walks:
+                continue  # the walk ended earlier in this round
+            verdict = _residue_verdict(zs, gbar, q, pr, h is not None)
+            if verdict is False:
                 rejected.add(pr)
                 del walks[pr]
-            else:
-                passed.add(pr)
-        for pr in passed - rejected:
-            walks[pr][1] += 1
+            elif verdict:
+                walks[pr][1] += 1
+                if walks[pr][1] >= levels[pr]:
+                    del walks[pr]
+    return rejected
 
 
 # -- the power test --------------------------------------------------------
@@ -257,7 +296,7 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
     Cyclotomic factors get the zero marker; degree 1 goes through rational
     arithmetic; otherwise E multiplies p^power_index(f, p) over primes up
     to the Mahler prime bound and the result is certified by re-checking
-    that f(t^E) has a factor of degree deg f.  One lockstep residue screen
+    that f(t^E) has a factor of degree deg f.  One batched residue screen
     first tests every such p at level 1, and power_index runs only for the
     p it does not reject (r = 0 for the rest).
     """
@@ -268,7 +307,8 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
     if d == 1:
         if f[0] == 0:
             raise ValueError("t has no power invariant; strip it first")
-        return rational_power_index(-f[0], f[1])
+        # the root -f0/f1, passed with a positive denominator
+        return rational_power_index(-f[0] if f[1] > 0 else f[0], abs(f[1]))
     bound = prime_bound(f, mode)
     primes = []
     p = 2

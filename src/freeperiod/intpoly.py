@@ -328,10 +328,21 @@ def graeffe(f: IntPoly) -> IntPoly:
     >>> graeffe(IntPoly((-1, -1, 1)))
     IntPoly((1, -3, 1))
     """
-    fe = IntPoly(f.coeffs[0::2])
-    fo = IntPoly(f.coeffs[1::2])
-    g = fe * fe - IntPoly.x() * fo * fo
-    return -g if len(f.coeffs) % 2 == 0 else g
+    c = f.coeffs
+    out = [0] * len(c)
+    # fe^2 - t fo^2, each square taking its cross terms a_i a_j (i < j)
+    # once, doubled
+    for shift, sign in ((0, 1), (1, -1)):
+        half = c[shift::2]
+        for i, a in enumerate(half):
+            if a:
+                out[2 * i + shift] += sign * a * a
+                twice = 2 * sign * a
+                for k, b in enumerate(half[i + 1:], 2 * i + 1 + shift):
+                    out[k] += twice * b
+    if len(c) % 2 == 0:
+        out = [-v for v in out]
+    return IntPoly(tuple(out))
 
 
 # -- trace polynomials -----------------------------------------------------
@@ -392,12 +403,18 @@ def trace_lift(h: IntPoly) -> IntPoly:
     return IntPoly(tuple(out))
 
 
-# Graeffe iterates tried by log_mahler_upper; each halves the relative slack
-# of Landau's bound at O(d^2) big-integer cost
+# Graeffe iterates tried by the measure and house bounds; each halves the
+# relative slack of Landau's bound at O(d^2) big-integer cost
 GRAEFFE_DEPTH = 6
 
 
-def log_mahler_upper(f: IntPoly) -> Fraction:
+def graeffe_iterates(f: IntPoly) -> list[IntPoly]:
+    """f, G f, ..., G^GRAEFFE_DEPTH f: G^k f has the roots of f raised to
+    the power 2^k, so M(G^k f) = M(f)^(2^k) and the same for the house."""
+    return list(accumulate(range(GRAEFFE_DEPTH), lambda g, _: graeffe(g), initial=f))
+
+
+def log_mahler_upper(f: IntPoly, iterates: Sequence[IntPoly] | None = None) -> Fraction:
     """Exact rational q with Mahler measure M(f) <= 2^q.
 
     Landau's bound M(g) <= ||g||_2 applied to the Graeffe iterates
@@ -405,10 +422,12 @@ def log_mahler_upper(f: IntPoly) -> Fraction:
     log2 M(f) <= log2(S_k) / 2^(k+1) with S_k = ||G^k f||_2^2 an exact
     integer, and the least of these bounds is returned.  log2(S_k) is
     overestimated by bit_length arithmetic: log2 S <= bit_length(S^64)/64.
+    A caller that needs the iterates too passes graeffe_iterates(f).
     """
     if not f:
         raise ValueError("zero polynomial has no Mahler measure")
-    iterates = accumulate(range(GRAEFFE_DEPTH), lambda g, _: graeffe(g), initial=f)
+    if iterates is None:
+        iterates = graeffe_iterates(f)
     # log2(s) <= bit_length(s^64) / 64, exact integer work only
     return min(Fraction((g.l2_norm_sq() ** 64).bit_length(), 128 << k)
                for k, g in enumerate(iterates))

@@ -158,8 +158,27 @@ def screen_polys(draw):
     return f
 
 
+# a prime p^r >= 10^6 whose first auxiliary prime q = 2 p^r + 1 has
+# q^3 > 2^64, so a round that holds it must reduce at every Horner step
+BIG_LEVEL = 1350053
+
+
 @settings(max_examples=80, deadline=None)
 @given(screen_polys(), st.sampled_from(SCREEN_LEVELS))
+# the first round of 2 holds q = 3, 5, ..., 29; here its one try is used
+# up at q = 11 and a later q of that round would reject, so the rest of
+# the round must be dropped
+@example(parse_poly("t^3 - 2t^2 - 3t + 2"), SCREEN_LEVELS[3])
+# 2 passes at q = 11, 17, 19 and rejects at q = 23, inside the same round
+# as q = 29
+@example(parse_poly("t^7 - 3t^6 - 2t^5 + 3t^3 + 3t^2 - 2t + 3"), SCREEN_LEVELS[0])
+# the square of a root of t^2 - t - 7: f(0) = 49, so q = 7 lies inside the
+# first round of 2 and must be skipped, as its root x = 0 would reject
+@example(parse_poly("t^2 - 15t + 49"), SCREEN_LEVELS[0])
+# one round with q = 2700107 beside the small q of 2 and 3 (s = 1); f is
+# t^8 - 1 mod q, whose simple roots +-1 are the only residues of level
+# BIG_LEVEL, so an overflowing Horner step would likely make it reject
+@example(IntPoly((-1, -2700107, 0, 0, 0, 0, 0, 0, 1)), {2: 8, 3: 4, BIG_LEVEL: 1})
 # two passing roots mod one q count one pass, so at tries 2 the walk goes on
 # to the next q, which rejects (counting roots would stop it there)
 @example(parse_poly("2t^10 - 2t^9 + 3t^8 + t^7 + 4t^6 + 2t^5 + 2t^4 - 2t^3 + t^2 + 3"),
@@ -230,15 +249,24 @@ def test_e_of_irreducible_other_cases():
 
 def test_e_of_irreducible_rigorous_degree_20_is_quick():
     # candidate (20,16,12,10,8,4,0): Landau's bound of 79 sent the rigorous
-    # search into a degree-1220 inflation at p = 61; Graeffe iterates cap it
+    # search into a degree-1220 inflation at p = 61; Graeffe iterates cap
+    # it at 39 and Dimitrov's house bound at 14
     f = Candidate.from_gap_set(10, frozenset({16, 12})).poly
     assert f.degree == 20 and factor_over_z(f).factors == ((f, 1),)
-    assert prime_bound(f, BoundMode.RIGOROUS) <= 39
+    assert prime_bound(f, BoundMode.RIGOROUS) <= 14
     factor_over_z.cache_clear()
     start = time.monotonic()
     ev = e_of_irreducible.__wrapped__(f, BoundMode.RIGOROUS)  # uncached
     assert time.monotonic() - start < 10.0
     assert ev == EValue.finite(1)
+
+
+@pytest.mark.parametrize("coeffs,e", [
+    ((2, -1), 1), ((4, -1), 2), ((-8, -1), 3), ((-4, -1), 1),
+])
+def test_e_of_irreducible_degree_one_negative_leading(coeffs, e):
+    # the root -f0/f1 is 2, 4, -8 and -4
+    assert e_of_irreducible(IntPoly(coeffs)) == EValue.finite(e)
 
 
 def test_e_of_irreducible_rigorous_stall_candidate_is_quick():

@@ -211,6 +211,13 @@ def test_survey_9_rigorous_golden_hash():
     assert digest == "a6dc799bb62328ab0ca1847d2abd9145bb87d0993a4d584d6de47775198d6074"
 
 
+def test_survey_10_rigorous_golden_hash():
+    # genus 10 is where a wrong rigorous prime bound would first change an
+    # E value that the genus <= 9 pins do not hold
+    digest = hashlib.sha256(survey(10, BoundMode.RIGOROUS).to_json().encode()).hexdigest()
+    assert digest == "b65a833dbc7699883f899d50302c039ad98609e216bba9ae64f55006d8330a08"
+
+
 def test_survey_mode_is_recorded():
     rep = survey(2, mode=BoundMode.RIGOROUS)
     assert rep.mode is BoundMode.RIGOROUS

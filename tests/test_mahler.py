@@ -5,15 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from freeperiod import BoundMode, IntPoly, m_min_log2, prime_bound, voutier_log2_lb
-from freeperiod.cyclotomic import cyclotomic
-from freeperiod.intpoly import log_mahler_upper
+from freeperiod import (
+    BoundMode,
+    IntPoly,
+    enumerate_candidates,
+    m_min_log2,
+    prime_bound,
+    rotation_product_deflated,
+    voutier_log2_lb,
+)
+from freeperiod.cyclotomic import cyclotomic, cyclotomic_tag
+from freeperiod.intpoly import graeffe_iterates, log_mahler_upper
 from freeperiod.mahler import (
     LEHMER_LOG2_LB,
     MIN_LOG2_TABLE,
     MIN_MEASURE_WITNESS,
+    house_bound,
 )
 from freeperiod.zfactor import factor_over_z
 
@@ -134,3 +143,77 @@ def test_prime_bound_rejections():
         prime_bound(IntPoly((2, 1)))
     with pytest.raises(ValueError):
         prime_bound(IntPoly((5,)))
+
+
+# -- the rigorous bound: measure gap, Dimitrov's house bound, M >= 2 -------
+
+
+def measure_gap_bound(f: IntPoly) -> int:
+    """The measure-gap bound alone, Graeffe-Landau over m_min_log2."""
+    return max(1, math.floor(log_mahler_upper(f) / m_min_log2(f.degree, BoundMode.RIGOROUS)))
+
+
+@st.composite
+def monic_polys(draw):
+    d = draw(st.integers(min_value=2, max_value=12))
+    const = draw(st.integers(min_value=1, max_value=20)) * draw(st.sampled_from([1, -1]))
+    middle = draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=d - 1,
+                           max_size=d - 1))
+    return IntPoly((const, *middle, 1))
+
+
+@given(monic_polys())
+def test_house_bound_is_an_upper_bound(f):
+    house = max(abs(z) for z in np.roots(list(reversed(f.coeffs))))
+    d = f.degree
+    assert house_bound(graeffe_iterates(f)) >= math.floor(4 * d * math.log2(house) - 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6),
+       st.integers(min_value=2, max_value=7))
+def test_rigorous_bound_admits_a_true_power(middle, n):
+    # R(x) = prod (x - beta^n) over the roots beta of g; when R is
+    # irreducible its root beta^n generates Q(beta), so E >= n
+    g = IntPoly((middle[0] or 1, *middle[1:], 1))
+    r = rotation_product_deflated(g, n)
+    fac = factor_over_z(r)
+    assume(len(fac.factors) == 1 and fac.factors[0][1] == 1)
+    assume(cyclotomic_tag(fac.factors[0][0]) is None)
+    assert prime_bound(fac.factors[0][0], BoundMode.RIGOROUS) >= n
+
+
+def test_rigorous_bound_never_looser_on_the_genus_9_survey():
+    factors = {g for c in enumerate_candidates(9) for g, _ in factor_over_z(c.poly).factors
+               if g.degree >= 2 and cyclotomic_tag(g) is None}
+    assert len(factors) > 300
+    for g in factors:
+        assert prime_bound(g, BoundMode.RIGOROUS) <= measure_gap_bound(g)
+
+
+@pytest.mark.parametrize("f", [IntPoly((-1, 3, -5, 4)), IntPoly((2, -3, 2)),
+                               IntPoly((-3, 1, 1, 2)), IntPoly((5, 7, -1, 0, 6))])
+def test_rigorous_bound_non_monic_is_log2_measure(f):
+    # theta is not integral, so M(theta) >= 2 and E <= log2 M(f); the first
+    # vector is the non-monic factor of the K14n26330 polynomial
+    assert abs(f.lc) > 1 and factor_over_z(f).factors == ((f, 1),)
+    assert prime_bound(f, BoundMode.RIGOROUS) <= max(1, math.floor(log_mahler_upper(f)))
+
+
+def test_rigorous_bound_frozen_house_value():
+    # the genus-9 candidate with the loosest measure-gap bound (57):
+    # Dimitrov's house bound takes it to 18
+    exps = (18, 17, 16, 14, 13, 12, 9, 6, 5, 4, 2, 1, 0)
+    f = IntPoly.from_terms((b, (-1) ** j) for j, b in enumerate(exps))
+    assert factor_over_z(f).factors == ((f, 1),)
+    assert measure_gap_bound(f) == 57
+    assert house_bound(graeffe_iterates(f)) == 18
+    assert prime_bound(f, BoundMode.RIGOROUS) == 18
+
+
+def test_rigorous_bound_non_primitive_keeps_the_measure_gap():
+    # 2 (t^2 - 47t + 1) has the root phi^8 (E = 8): its leading coefficient
+    # says nothing about integrality, so M(theta) >= 2 must not be used
+    f = IntPoly((2, -94, 2))
+    assert prime_bound(f, BoundMode.RIGOROUS) == measure_gap_bound(f) >= 8
+    assert math.floor(log_mahler_upper(f)) < 8

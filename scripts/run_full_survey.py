@@ -13,12 +13,19 @@ from freeperiod.hartley import BoundMode
 from freeperiod.lspace import FilterConfig, survey
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-genus", type=int, default=16)
     ap.add_argument("--mode", choices=["heuristic", "rigorous"],
                     default="heuristic")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--top-gap-1", action="store_true",
                     help="restrict to candidates whose top exponent gap is 1")
     ap.add_argument("--json", metavar="PATH", help="write the JSON report here")

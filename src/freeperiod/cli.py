@@ -6,9 +6,9 @@ single symbolic or ascending comma-separated coefficient expression) or
 normalized knot records; a bare --poly is taken as-is so non-Alexander
 polynomials can still be factored or profiled.
 
---jobs N computes the rows of a table on N worker processes; the output
-is the same as with --jobs 1, and the first failing row in input order is
-reported once.
+--jobs N (N >= 1) computes the rows of a table on N worker processes, at
+most one per CPU; the output is the same as with --jobs 1, and the first
+failing row in input order is reported once.
 
 Exit codes: 0 success, 1 domain error (bad polynomial, failed
 precondition), 2 usage error.  Machine-readable output via --json always
@@ -122,8 +122,8 @@ _INPUT_OPTIONS = (
                  help="knot table CSV (name,alexander)"),
     click.option("--poly", help="polynomial expression"),
     _MODE,
-    click.option("--jobs", type=int, default=1, show_default=True,
-                 help="worker processes for batch inputs"),
+    click.option("--jobs", type=click.IntRange(min=1), default=1,
+                 show_default=True, help="worker processes for batch inputs"),
 )
 
 
@@ -324,7 +324,8 @@ _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
               help="allow the long run past genus 10")
 @click.option("--filters", "filter_names", multiple=True,
               type=click.Choice(["top-gap-1"]))
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json):
     """Survey candidate L-space knot polynomials for periodicity escapes."""

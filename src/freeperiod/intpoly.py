@@ -174,7 +174,7 @@ class IntPoly:
         return result
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate by Horner's rule; exact over int or Fraction."""
+        """Evaluate by Horner's rule; exact at integer and rational points."""
         acc: Scalar = 0
         for a in reversed(self.coeffs):
             acc = acc * x + a
@@ -200,23 +200,8 @@ class IntPoly:
             out[i * n] = a
         return IntPoly(tuple(out))
 
-    def deflate(self, n: int) -> "IntPoly":
-        """Inverse of inflate: f(t^{1/n}).  Requires support inside n*Z."""
-        if n <= 0:
-            raise ValueError("deflation exponent must be positive")
-        if n == 1 or not self.coeffs:
-            return self
-        for i, a in enumerate(self.coeffs):
-            if a and i % n:
-                raise ValueError(f"coefficient at t^{i} obstructs deflation by {n}")
-        return IntPoly(tuple(self.coeffs[::n]))
-
-    def reverse(self) -> "IntPoly":
-        """Reciprocal polynomial t^deg * f(1/t) (zero maps to zero)."""
-        return IntPoly(_trim(self.coeffs[::-1]))
-
     def is_palindromic_up_to_sign(self) -> bool:
-        """True when f equals +reverse(f) or -reverse(f)."""
+        """True when f equals its reversal t^deg f(1/t) or minus it."""
         if not self.coeffs:
             return True
         r = self.coeffs[::-1]
@@ -271,26 +256,6 @@ class IntPoly:
         if any(rem[:dd]):
             return None
         return IntPoly(tuple(q))
-
-    def divmod_q(self, d: "IntPoly") -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Quotient and remainder over Q, as ascending Fraction tuples."""
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = [Fraction(a) for a in self.coeffs]
-        dd = d.degree
-        if self.degree < dd:
-            return (), tuple(rem)
-        dl = Fraction(d.lc)
-        q = [Fraction(0)] * (len(self.coeffs) - dd)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + dd] / dl
-            q[k] = c
-            if c:
-                for j, a in enumerate(d.coeffs):
-                    rem[k + j] -= c * a
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return tuple(q), tuple(rem)
 
     # -- formatting --------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -233,24 +234,27 @@ def _map_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
                  progress: Optional[Callable[[int, int], None]] = None) -> list[R]:
-    """[fn(x) for x in items], computed by jobs worker processes when jobs > 1.
+    """[fn(x) for x in items], computed by worker processes when jobs > 1.
 
-    Items go out in chunks, 64 per chunk serially and ceil(n / (8 jobs))
-    across the pool, and results come back in input order.  Workers are
-    spawned, not forked, so they start from a fresh import: fn and the
-    items must pickle, and a calling script needs its __main__ guard.
+    The pool has w = min(jobs, os.cpu_count()) workers; more would only
+    contend for the same cores.  Items go out in chunks, 64 per chunk
+    serially and ceil(n / (8 w)) across the pool, and results come back
+    in input order.  Workers are spawned, not forked, so they start from
+    a fresh import: fn and the items must pickle, and a calling script
+    needs its __main__ guard.
     progress(done, total) runs after each chunk.  An exception raised by
     fn propagates from the first failing item in input order, whatever
     jobs is.
     """
-    pooled = jobs > 1 and len(items) > 1
-    size = max(1, math.ceil(len(items) / (8 * jobs))) if pooled else 64
+    workers = min(jobs, os.cpu_count() or 1)
+    pooled = workers > 1 and len(items) > 1
+    size = max(1, math.ceil(len(items) / (8 * workers))) if pooled else 64
     chunks = [items[i:i + size] for i in range(0, len(items), size)]
     out: list[R] = []
     with ExitStack() as stack:
         run = map
         if pooled:
-            pool = ProcessPoolExecutor(max_workers=jobs,
+            pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=get_context("spawn"))
             stack.callback(pool.shutdown, cancel_futures=True)
             run = pool.map
@@ -282,13 +286,8 @@ class SurveyReport:
     def hartley_exceptional(self) -> tuple[CandidateRecord, ...]:
         return tuple(r for r in self.records if r.hartley_exceptional)
 
-    def murasugi_exceptional(self, q: Optional[int] = None,
+    def murasugi_exceptional(self, q: int,
                              require_divides: bool = True) -> tuple[CandidateRecord, ...]:
-        if q is None:
-            return tuple(r for r in self.records
-                         if r.murasugi and any(
-                             h.divides or not require_divides
-                             for h in r.murasugi))
         return tuple(r for r in self.records
                      if r.murasugi_hit_at(q, require_divides))
 
@@ -422,9 +421,9 @@ def survey(g_max: int,
     """
     filters = filters or FilterConfig()
     cands = list(enumerate_candidates(g_max, filters))
+    # parallel_map keeps enumeration order, already (genus, exponents)
     records = parallel_map(partial(candidate_record, mode=mode), cands, jobs,
                            progress)
-    records.sort(key=lambda r: (r.candidate.genus, r.candidate.exponents))
     return SurveyReport(g_max=g_max, mode=mode, top_gap_1=filters.top_gap_1,
                         custom_filter=filters.predicate is not None,
                         records=tuple(records))

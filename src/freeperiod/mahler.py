@@ -103,7 +103,8 @@ def m_min_log2(d: int, mode: BoundMode) -> Fraction:
     if mode is BoundMode.HEURISTIC:
         return LEHMER_LOG2_LB
     if d in MIN_LOG2_TABLE:
-        return max(MIN_LOG2_TABLE[d], voutier_log2_lb(d))
+        # Voutier's bound lies below the table at every tabulated degree
+        return MIN_LOG2_TABLE[d]
     v = voutier_log2_lb(d)
     if v <= 0:
         raise ValueError(f"no positive rigorous bound at degree {d}")

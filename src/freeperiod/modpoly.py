@@ -16,8 +16,9 @@ degree per numpy product h @ Q, in place of repeated squaring (von zur
 Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree splitting and
 the quadratic-character test has_nonsquare_factor take (p^k - 1)/2 powers
 from the same matrix, as products of Frobenius images of a (p - 1)/2
-power.  Equal-degree splitting is randomized but seeded from a hash of the
-input, so factorizations are reproducible.
+power, so the equal-degree split (factor_squarefree_mod_p) needs an odd
+p.  It is randomized but seeded from a hash of the input, so
+factorizations are reproducible.
 """
 
 from __future__ import annotations
@@ -350,8 +351,8 @@ def ddf_degree_multiset(f: list[int], p: int) -> list[int]:
 
 def _edf(u: list[int], d: int, p: int, q: np.ndarray | None,
          rng: random.Random) -> list[list[int]]:
-    """Equal-degree splitting: u = product of irreducibles of degree d;
-    q is the Frobenius matrix of a multiple of u."""
+    """Equal-degree splitting for odd p: u = product of irreducibles of
+    degree d; q is the Frobenius matrix of a multiple of u."""
     n = len(u) - 1
     if n == d:
         return [u]
@@ -360,17 +361,8 @@ def _edf(u: list[int], d: int, p: int, q: np.ndarray | None,
         a = _trim(a)
         if len(a) <= 1 and d > 1:
             continue
-        if p == 2:
-            # trace map over F_{2^d}
-            b = gfp_mod(a, u, p)
-            tr = b
-            for _ in range(d - 1):
-                b = gfp_mod(gfp_mul(b, b, p), u, p)
-                tr = gfp_sub(tr, [p - c for c in b], p)
-            g = gfp_gcd(tr, u, p)
-        else:
-            b = _half_power(a, d, u, q, p)
-            g = gfp_gcd(gfp_sub(b, [1], p), u, p)
+        b = _half_power(a, d, u, q, p)
+        g = gfp_gcd(gfp_sub(b, [1], p), u, p)
         if 0 < len(g) - 1 < n:
             left = _edf(g, d, p, q, rng)
             right = _edf(gfp_divmod(u, g, p)[0], d, p, q, rng)
@@ -383,7 +375,10 @@ def _seed_for(p: int, coeffs) -> int:
 
 
 def factor_squarefree_mod_p(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of squarefree monic f, sorted."""
+    """Monic irreducible factors of squarefree monic f, sorted; p must be
+    odd, since equal-degree splitting takes (p^d - 1)/2 powers."""
+    if p == 2:
+        raise ValueError("equal-degree splitting needs an odd prime")
     rng = random.Random(_seed_for(p, f))
     out: list[list[int]] = []
     parts, q = _split_with_matrix(tuple(f), p)

@@ -52,15 +52,6 @@ class MurasugiHit:
     sign: int
     divides: bool
 
-    def congruence(self) -> str:
-        p = prime_power(self.q)[0]
-        head = "" if self.sign > 0 else "-"
-        shift = f"t^{self.shift} * " if self.shift else ""
-        run = " + ".join(["1", "t"][:min(self.lam, 2)] + (
-            [f"t^{k}" for k in range(2, self.lam)]))
-        return (f"{head}{shift}({self.quotient})^{self.q}"
-                f" * ({run})^{self.q - 1}  mod {p}")
-
 
 def _require_screenable(delta: IntPoly) -> None:
     if delta[0] == 0:
@@ -76,17 +67,6 @@ def _prime_of(q: int) -> int:
     return pk[0]
 
 
-@lru_cache(maxsize=None)
-def _run_power(lam: int, q: int, p: int) -> tuple[int, ...]:
-    # (1 + t + ... + t^(lam-1))^(q-1) over F_p; the same few (lam, q, p)
-    # recur for every screened polynomial, hence the cache
-    out = [1]
-    base = [1 % p] * lam
-    for _ in range(q - 1):
-        out = gfp_mul(out, base, p)
-    return tuple(out)
-
-
 def _poly_pow(f: list[int], e: int, p: int) -> list[int]:
     out = [1]
     sq = list(f)
@@ -97,6 +77,13 @@ def _poly_pow(f: list[int], e: int, p: int) -> list[int]:
         if e:
             sq = gfp_mul(sq, sq, p)
     return out
+
+
+@lru_cache(maxsize=None)
+def _run_power(lam: int, q: int, p: int) -> tuple[int, ...]:
+    # (1 + t + ... + t^(lam-1))^(q-1) over F_p; the same few (lam, q, p)
+    # recur for every screened polynomial, hence the cache
+    return tuple(_poly_pow([1] * lam, q - 1, p))
 
 
 def _lattice_quotient(a: list[int], shape: tuple[int, ...], q: int,

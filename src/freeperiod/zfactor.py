@@ -81,9 +81,6 @@ class FactoredPoly:
             out = out * g**a
         return out
 
-    def degree(self) -> int:
-        return sum((g.degree * a for g, a in self.factors), 0)
-
     def __str__(self) -> str:
         head = f"{self.sign * self.content}"
         body = " * ".join(f"({g})^{a}" if a > 1 else f"({g})" for g, a in self.factors)
@@ -134,14 +131,19 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder of lc(b)^(da-db+1) * a by b; integral by construction."""
+    """Remainder of lc(b)^(da-db+1) * a by b in Z[t]: each elimination
+    step scales the running remainder by lc(b) before cancelling its top."""
     da, db = a.degree, b.degree
     if da < db:
         return a
-    scaled = a * (b.lc ** (da - db + 1))
-    _, r = scaled.divmod_q(b)
-    assert all(x.denominator == 1 for x in r)
-    return IntPoly(tuple(int(x) for x in r))
+    rem = list(a.coeffs)
+    for k in range(da - db, -1, -1):
+        c = rem[k + db]
+        rem = [b.lc * x for x in rem[:k + db + 1]]
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rem[k + j] -= c * y
+    return IntPoly(tuple(rem[:db]))
 
 
 # -- squarefree decomposition over Z ---------------------------------------

@@ -1,6 +1,9 @@
 """End-to-end command line behavior through click's test runner."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -171,6 +174,27 @@ def test_failing_rows_report_one_error_at_any_jobs(runner, table):
         assert res.exit_code == 1 and res.stdout == ""
         errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
         assert errors == ["error: not 3-Hartley; no witness exists"]
+
+
+@pytest.mark.parametrize("command", [["factor", "--poly", FIG8],
+                                     ["survey", "--max-genus", "2"]],
+                         ids=["factor", "survey"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(runner, command, jobs):
+    res = runner.invoke(main, command + ["--jobs", jobs])
+    assert res.exit_code == 2
+    assert "--jobs" in res.stderr
+
+
+def test_full_survey_script_rejects_jobs_below_one(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_survey.py"
+    spec = importlib.util.spec_from_file_location("run_full_survey", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_full_survey.py", "--jobs", "0"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
 
 
 def test_ingest_human_json_and_strict(runner, table):

@@ -380,8 +380,13 @@ def rotation_product_reference(g: IntPoly, n: int) -> list[IntPoly]:
     phi = cyclotomic(n)
 
     def zmod(f: IntPoly) -> IntPoly:
-        _, r = f.divmod_q(phi)
-        return IntPoly(tuple(int(x) for x in r))
+        # remainder modulo the monic Phi_n, so integral at every step
+        r, d = list(f.coeffs), phi.degree
+        for k in range(len(r) - 1, d - 1, -1):
+            c = r[k]
+            for j, a in enumerate(phi.coeffs):
+                r[k - d + j] -= c * a
+        return IntPoly(tuple(r[:d]))
 
     acc = {0: IntPoly.one()}
     for i in range(n):

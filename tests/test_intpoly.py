@@ -1,7 +1,5 @@
 """Integer polynomial core: arithmetic, inflation, text round trips."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,12 +60,8 @@ def test_inflate_composes(f, a, b):
 
 @given(polys, st.integers(min_value=1, max_value=4))
 def test_inflate_deflate_round_trip(f, n):
-    assert f.inflate(n).deflate(n) == f
-
-
-def test_deflate_rejects_mixed_support():
-    with pytest.raises(ValueError):
-        IntPoly((1, 1, 1)).deflate(2)
+    # every n-th coefficient of f(t^n) is f's, in order
+    assert f.inflate(n).coeffs[::n] == f.coeffs
 
 
 def test_palindromic_up_to_sign():
@@ -129,17 +123,6 @@ def test_try_divide_non_divisor():
     assert IntPoly((1, 1)).try_divide(IntPoly((2, 2))) is None
 
 
-@given(nonzero_polys, nonzero_polys)
-def test_divmod_q_invariant(a, b):
-    q, r = a.divmod_q(b)
-    db = b.degree
-    assert len(r) - 1 < db or all(c == 0 for c in r)
-    for x in range(-3, 4):
-        qa = sum(Fraction(c) * x**i for i, c in enumerate(q))
-        ra = sum(Fraction(c) * x**i for i, c in enumerate(r))
-        assert Fraction(a(x)) == qa * b(x) + ra
-
-
 def test_content_primitive_conventions():
     assert content_primitive(IntPoly((-12, 0, 6))) == (6, IntPoly((-2, 0, 1)), 1)
     c, pp, sign = content_primitive(IntPoly((4, -6)))
@@ -188,10 +171,9 @@ def test_format_spot_checks():
     assert format_poly(IntPoly((0, -1, 0, 2))) == "2*t^3 - t"
 
 
-def test_reverse_and_norms():
-    f = IntPoly((2, 0, -1))
-    assert f.reverse() == IntPoly((-1, 0, 2))
-    assert f.l2_norm_sq() == 5
+def test_l2_norm_sq():
+    assert IntPoly((2, 0, -1)).l2_norm_sq() == 5
+    assert IntPoly.zero().l2_norm_sq() == 0
 
 
 def test_from_terms_accumulates():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -22,8 +23,9 @@ from freeperiod import (
     survey,
     verify_witness,
 )
+from freeperiod import lspace
 from freeperiod.cyclotomic import cyclotomic
-from freeperiod.lspace import _factor_candidate
+from freeperiod.lspace import _factor_candidate, parallel_map
 
 
 def bag(fp):
@@ -147,7 +149,7 @@ def test_small_survey_has_no_exceptional_candidates():
     rep = survey(6)
     assert rep.hartley_exceptional == ()
     assert rep.murasugi_exceptional(2) == ()
-    assert rep.murasugi_exceptional() == ()
+    assert all(rep.murasugi_exceptional(q) == () for q in rep.hit_qs())
 
 
 def test_murasugi_hit_gate_requires_divides_by_default():
@@ -188,6 +190,35 @@ def test_survey_is_deterministic_and_jobs_invariant():
     assert first.to_json() == again.to_json() == forked.to_json()
 
 
+def test_parallel_map_caps_workers_at_the_cpu_count(monkeypatch):
+    # a stand-in pool records what a huge jobs value asks for and maps
+    # in-process, so no worker is started
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            asked.append(len(chunks))
+            return map(fn, chunks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(lspace, "ProcessPoolExecutor", RecordingPool)
+    items = list(range(1000))
+    assert parallel_map(abs, items, jobs=10**6) == items
+    cpus = os.cpu_count() or 1
+    if cpus == 1:
+        assert asked == []
+    else:
+        workers, chunks = asked
+        # chunks are sized for the capped pool, eight per worker
+        assert 2 <= workers <= cpus and chunks <= 8 * workers
+
+
 @pytest.mark.parametrize("mode,expected", [
     # pinned before the Graeffe prime bound and the cyclotomic caches
     pytest.param(BoundMode.HEURISTIC,
@@ -209,6 +240,13 @@ def test_survey_9_rigorous_golden_hash():
     # (perfbench/workloads.py, PINNED_SHA256)
     digest = hashlib.sha256(survey(9, BoundMode.RIGOROUS).to_json().encode()).hexdigest()
     assert digest == "a6dc799bb62328ab0ca1847d2abd9145bb87d0993a4d584d6de47775198d6074"
+
+
+def test_survey_10_heuristic_golden_hash():
+    # the one heuristic report through genus 10, where the factor layer,
+    # the mod-p splits and the Murasugi screen all run without rigorous E
+    digest = hashlib.sha256(survey(10).to_json().encode()).hexdigest()
+    assert digest == "b6ea0222949bd77990c8512927efd666dd07023ad330aae670ce9daf0b2d6f63"
 
 
 def test_survey_10_rigorous_golden_hash():

@@ -67,17 +67,21 @@ def test_voutier_bound_shape():
     for d in range(3, 200):
         v = voutier_log2_lb(d)
         assert 0 < v < LEHMER_LOG2_LB
-    # stays below each known minimal measure where the table speaks
+
+
+def test_voutier_lies_below_the_table():
+    # exact rational comparison: m_min_log2 returns the table entry alone
+    # at d <= 6 because Voutier's bound is below it at every such d
+    assert sorted(MIN_LOG2_TABLE) == [2, 3, 4, 5, 6]
     for d, lb in MIN_LOG2_TABLE.items():
-        if d >= 3:
-            assert voutier_log2_lb(d) < lb
+        assert voutier_log2_lb(d) < lb
 
 
 def test_m_min_log2_mode_dispatch():
     for d in range(2, 12):
         assert m_min_log2(d, BoundMode.HEURISTIC) == LEHMER_LOG2_LB
     for d, lb in MIN_LOG2_TABLE.items():
-        assert m_min_log2(d, BoundMode.RIGOROUS) == max(lb, voutier_log2_lb(d))
+        assert m_min_log2(d, BoundMode.RIGOROUS) == lb
     assert m_min_log2(7, BoundMode.RIGOROUS) == voutier_log2_lb(7)
     with pytest.raises(ValueError):
         m_min_log2(1, BoundMode.HEURISTIC)

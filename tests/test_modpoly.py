@@ -29,6 +29,8 @@ from freeperiod.modpoly import (
 )
 
 PRIMES = [2, 3, 5, 7, 13]
+# the equal-degree split (factor_squarefree_mod_p) needs an odd prime
+ODD_PRIMES = [3, 5, 7, 13]
 
 mod_coeffs = st.lists(st.integers(min_value=0, max_value=12), max_size=8)
 
@@ -165,9 +167,18 @@ def known_factization_cases():
 
 @pytest.mark.parametrize("coeffs,p,count", list(known_factization_cases()))
 def test_factor_mod_p_known_splits(coeffs, p, count):
-    out = factor_squarefree_mod_p(coeffs, p)
-    assert len(out) == count
-    assert _product(out, p) == coeffs
+    # the distinct-degree split counts the factors at every p, p = 2 too
+    assert len(ddf_degree_multiset(coeffs, p)) == count
+    if p % 2:
+        out = factor_squarefree_mod_p(coeffs, p)
+        assert len(out) == count
+        assert _product(out, p) == coeffs
+
+
+def test_factor_mod_p_rejects_p_2():
+    # at p = 2 the (p - 1)/2 power of the equal-degree split is a^0 = 1
+    with pytest.raises(ValueError, match="odd prime"):
+        factor_squarefree_mod_p([1, 1, 0, 0, 1], 2)
 
 
 def test_quartic_plus_one_always_splits():
@@ -183,7 +194,7 @@ def squarefree_monic(c, p):
 
 
 @settings(max_examples=60)
-@given(mod_coeffs, st.sampled_from(PRIMES))
+@given(mod_coeffs, st.sampled_from(ODD_PRIMES))
 def test_factor_mod_p_reassembles_and_is_irreducible(c, p):
     f = squarefree_monic(c, p)
     out = factor_squarefree_mod_p(f, p)
@@ -195,7 +206,7 @@ def test_factor_mod_p_reassembles_and_is_irreducible(c, p):
 
 
 @settings(max_examples=40)
-@given(mod_coeffs, st.sampled_from(PRIMES))
+@given(mod_coeffs, st.sampled_from(ODD_PRIMES))
 def test_factorization_is_deterministic(c, p):
     f = squarefree_monic(c, p)
     assert factor_squarefree_mod_p(f, p) == factor_squarefree_mod_p(list(f), p)
@@ -246,6 +257,8 @@ def test_distinct_degree_split_matches_repeated_squaring(p, low):
     assume(_is_squarefree(f, p))
     expected = reference_distinct_degree_split(f, p)
     assert distinct_degree_split(f, p) == expected
+    if p == 2:
+        return
     # the full split: irreducible monic factors whose degrees are the blocks'
     factors = factor_squarefree_mod_p(f, p)
     prod = [1]
@@ -258,7 +271,6 @@ def test_distinct_degree_split_matches_repeated_squaring(p, low):
         d for part, d in expected for _ in range((len(part) - 1) // d))
 
 
-ODD_PRIMES = [3, 5, 7, 13]
 squarefree_inputs = st.tuples(
     st.sampled_from(ODD_PRIMES),
     st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=24),

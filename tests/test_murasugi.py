@@ -240,14 +240,6 @@ def test_verify_hit_rejects_tampered_hits():
     assert not any(verify_hit(K14, h) for h in (bad_lam, bad_quo, bad_shift))
 
 
-def test_congruence_rendering():
-    (h,) = murasugi_screen(TREFOIL, 2)
-    text = h.congruence()
-    assert "mod 2" in text and "(1 + t + t^2)^1" in text
-    (k,) = murasugi_screen(K14, 2)
-    assert "t^1 * " in k.congruence() and "(1)^1" in k.congruence()
-
-
 # -- rejections ------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from freeperiod import zfactor
 from freeperiod.cyclotomic import cyclotomic, divisors
 from freeperiod.intpoly import trace_lift, trace_reduce
 from freeperiod.modpoly import gfp_monic, has_nonsquare_factor, reduce_mod_p
-from freeperiod.zfactor import degree_set_filter, gcd_z, squarefree_decompose
+from freeperiod.zfactor import _pseudo_rem, degree_set_filter, gcd_z, squarefree_decompose
 from polys import K14
 
 small_polys = st.builds(
@@ -52,6 +52,17 @@ def test_gcd_z_conventions():
     assert gcd_z(IntPoly((4, 4)), IntPoly((6, 6))) == IntPoly((2, 2))
     assert gcd_z(IntPoly((4,)), IntPoly((6, 6))) == IntPoly((2,))
     assert gcd_z(IntPoly((1, 1)), IntPoly((1, 0, 1))) == IntPoly.one()
+
+
+@given(small_polys, small_polys)
+def test_pseudo_rem_invariant(a, b):
+    # integer pseudo-division: lc(b)^(da-db+1) a = Q b + r with deg r < deg b
+    r = _pseudo_rem(a, b)
+    if a.degree < b.degree:
+        assert r == a
+        return
+    assert r.degree < b.degree
+    assert (a * b.lc ** (a.degree - b.degree + 1) - r).try_divide(b) is not None
 
 
 @given(products)
@@ -296,10 +307,11 @@ palindromic = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(nonmonic_factors.filter(lambda g: g[0] and g.reverse() not in (g, -g)))
+@given(nonmonic_factors.filter(lambda g: g[0] and g.coeffs not in (
+    g.coeffs[::-1], (-g).coeffs[::-1])))
 def test_reciprocal_pair_matches_sympy(g):
     # g g* is palindromic and x^2 - 4 is a square modulo its h
-    _assert_matches_sympy(g * g.reverse())
+    _assert_matches_sympy(g * IntPoly(g.coeffs[::-1]))
 
 
 @settings(max_examples=40, deadline=None)

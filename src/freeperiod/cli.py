@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TextIO
 
 import click
 
@@ -317,6 +318,34 @@ _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
 # -- batch commands --------------------------------------------------------
 
 
+_PROGRESS_INTERVAL_S = 10.0
+
+
+def _progress_printer(stream: TextIO) -> Callable[[int, int], None]:
+    """A survey progress(done, total) callback writing to stream.
+
+    It prints done/total, elapsed time and ETA at most once per
+    _PROGRESS_INTERVAL_S, and the total elapsed time at completion.
+    """
+    start = time.monotonic()
+    next_at = start
+
+    def progress(done: int, total: int) -> None:
+        nonlocal next_at
+        now = time.monotonic()
+        elapsed = now - start
+        if done == total:
+            click.echo(f"  {done}/{total} candidates, elapsed {elapsed:.1f}s",
+                       file=stream)
+        elif now >= next_at:
+            next_at = now + _PROGRESS_INTERVAL_S
+            eta = (total - done) * elapsed / max(done, 1)
+            click.echo(f"  {done}/{total} candidates, {elapsed:7.1f}s elapsed,"
+                       f" eta {eta:7.1f}s", file=stream)
+
+    return progress
+
+
 @main.command("survey")
 @_MODE
 @click.option("--max-genus", type=int, default=10, show_default=True)
@@ -326,19 +355,31 @@ _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
               type=click.Choice(["top-gap-1"]))
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
               show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json):
-    """Survey candidate L-space knot polynomials for periodicity escapes."""
+@click.option("--json", "as_json", is_flag=True,
+              help="print the report as JSON")
+@click.option("--csv", "as_csv", is_flag=True,
+              help="print the report as CSV")
+def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json, as_csv):
+    """Survey candidate L-space knot polynomials for periodicity escapes.
+
+    Progress and ETA go to stderr when it is a terminal.
+    """
     mode = BoundMode(mode)
     if max_genus > 10 and not full:
         raise click.UsageError(
             "genus beyond 10 is a long run; pass --full to confirm")
     if max_genus < 1:
         raise click.UsageError("--max-genus must be positive")
+    if as_json and as_csv:
+        raise click.UsageError("provide at most one of --json or --csv")
     filters = FilterConfig(top_gap_1="top-gap-1" in filter_names)
-    report = survey(max_genus, mode, filters, jobs=jobs)
+    progress = _progress_printer(sys.stderr) if sys.stderr.isatty() else None
+    report = survey(max_genus, mode, filters, jobs=jobs, progress=progress)
     if as_json:
         click.echo(report.to_json())
+        return
+    if as_csv:
+        click.echo(report.to_csv(), nl=False)
         return
     click.echo(f"mode: {mode.value} (rigorous: {mode is BoundMode.RIGOROUS})")
     click.echo(f"counts: {report.counts}")

@@ -33,7 +33,7 @@ from .modpoly import (
     next_prime,
     reduce_mod_p,
 )
-from .zfactor import degree_set_filter, factor_over_z
+from .zfactor import _FACTOR_CACHE_SIZE, degree_set_filter, factor_over_z
 
 INF = math.inf
 
@@ -270,10 +270,14 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     (the power-residue screen _power_residue_rejects with the single entry
     p^r, then mod-p factor degree sums) before committing to a full
     factorization.  Requires f irreducible, primitive, non-cyclotomic,
-    degree >= 2.
+    degree >= 2; cyclotomic f raises ValueError, because Phi_m(t^(p^r))
+    has the factor Phi_m at every r when p does not divide m, and the
+    unbounded loop would never stop.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if cyclotomic_tag(f) is not None:
+        raise ValueError("power_index is undefined for cyclotomic input")
     d = f.degree
     r = 0
     while max_r is None or r < max_r:
@@ -289,7 +293,9 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
+# one entry per distinct factor; bounded like factor_over_z's memo, so a
+# deep survey does not grow it without end
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValue:
     """E invariant of the root of an irreducible primitive polynomial.
 

@@ -178,7 +178,7 @@ def _exponents(poly: IntPoly) -> tuple[int, ...]:
 
 
 @pytest.mark.skipif(os.environ.get("FPL_FULL_SURVEY") != "1",
-                    reason="genus-16 survey takes ~35 min single-core; "
+                    reason="genus-16 survey takes ~4 min single-core; "
                            "set FPL_FULL_SURVEY=1 to run")
 def test_criterion_8_full_survey():
     start = time.monotonic()

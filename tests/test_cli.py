@@ -1,14 +1,18 @@
 """End-to-end command line behavior through click's test runner."""
 
-import importlib.util
+import io
 import json
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from freeperiod.cli import main
+from freeperiod import survey
+from freeperiod.cli import _progress_printer, main
 
 FIG8 = "t^2 - 3*t + 1"
 TREFOIL = "t^2 - t + 1"
@@ -186,17 +190,6 @@ def test_jobs_below_one_is_a_usage_error(runner, command, jobs):
     assert "--jobs" in res.stderr
 
 
-def test_full_survey_script_rejects_jobs_below_one(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_survey.py"
-    spec = importlib.util.spec_from_file_location("run_full_survey", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", ["run_full_survey.py", "--jobs", "0"])
-    with pytest.raises(SystemExit) as exc:
-        script.main()
-    assert exc.value.code == 2
-
-
 def test_ingest_human_json_and_strict(runner, table):
     res = runner.invoke(main, ["ingest", table])
     assert res.exit_code == 0
@@ -266,3 +259,51 @@ def test_survey_seed_and_jobs_do_not_change_output(runner):
     forked = runner.invoke(main, ["survey", "--max-genus", "3", "--json",
                                   "--jobs", "2"])
     assert base.output == forked.output
+
+
+def test_survey_csv_prints_the_report_csv(runner):
+    res = runner.invoke(main, ["survey", "--max-genus", "4", "--csv"])
+    assert res.exit_code == 0
+    assert res.output == survey(4).to_csv()
+
+
+def test_survey_csv_and_json_together_is_a_usage_error(runner):
+    res = runner.invoke(main, ["survey", "--max-genus", "2", "--csv", "--json"])
+    assert res.exit_code == 2
+
+
+def test_progress_printer_throttles_and_reports_completion(monkeypatch):
+    now = [100.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    out = io.StringIO()
+    progress = _progress_printer(out)
+    for done, t in [(10, 101.0), (20, 105.0), (30, 110.9), (40, 111.0),
+                    (50, 115.0), (60, 122.0)]:
+        now[0] = t
+        progress(done, 100)
+    now[0] = 125.0
+    progress(100, 100)
+    assert out.getvalue().splitlines() == [
+        "  10/100 candidates,     1.0s elapsed, eta     9.0s",
+        "  40/100 candidates,    11.0s elapsed, eta    16.5s",
+        "  60/100 candidates,    22.0s elapsed, eta    14.7s",
+        "  100/100 candidates, elapsed 25.0s",
+    ]
+
+
+def test_python_dash_m_entry_point_matches_across_jobs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "freeperiod", "survey", "--max-genus", "3",
+             "--json", "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["aggregates"]["candidates"] == 7

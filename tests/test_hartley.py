@@ -30,6 +30,7 @@ from freeperiod import (
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import _aux_primes, _power_residue_rejects
 from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
+from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
 
 INF = float("inf")
@@ -93,6 +94,18 @@ def test_power_index_respects_max_r():
 def test_power_index_composite_p_rejected():
     with pytest.raises(ValueError):
         power_index(FIG8, 4)
+
+
+@pytest.mark.parametrize("m", [3, 1, 6])
+def test_power_index_rejects_cyclotomic_input(m):
+    # Phi_3(t^(2^r)) keeps the factor Phi_3 at every r, so without the
+    # check the unbounded loop would never stop
+    with pytest.raises(ValueError, match="cyclotomic"):
+        power_index(cyclotomic(m), 2)
+
+
+def test_e_memo_is_bounded_like_the_factor_memo():
+    assert e_of_irreducible.cache_info().maxsize == _FACTOR_CACHE_SIZE
 
 
 # -- the power-residue screen ----------------------------------------------

@@ -11,9 +11,9 @@ most one per CPU; the output is the same as with --jobs 1, and the first
 failing row in input order is reported once.
 
 Exit codes: 0 success, 1 domain error (bad polynomial, failed
-precondition), 2 usage error.  Machine-readable output via --json always
-carries the bound mode and a rigor flag.  FPL_MODE sets the default for
---mode; an explicit flag wins.
+precondition), 2 usage error.  Only the commands that compute E (evalue,
+hartley-set, hartley-check, witness, survey) take --mode; their --json
+output carries the bound mode and a rigor flag.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ def main() -> None:
 
 _MODE = click.option(
     "--mode", type=click.Choice(["heuristic", "rigorous"]),
-    default="heuristic", envvar="FPL_MODE", show_default=True,
-    help="Mahler bound mode (env FPL_MODE sets the default)")
+    default="heuristic", show_default=True,
+    callback=lambda ctx, param, value: BoundMode(value),
+    help="Mahler bound mode")
 _INPUT_OPTIONS = (
     click.option("--poly-file", type=click.Path(),
                  help="knot table CSV (name,alexander)"),
     click.option("--poly", help="polynomial expression"),
-    _MODE,
     click.option("--jobs", type=click.IntRange(min=1), default=1,
                  show_default=True, help="worker processes for batch inputs"),
 )
@@ -150,10 +150,10 @@ def _inputs(poly: Optional[str], poly_file: Optional[str]) -> list[tuple[Optiona
     return [(r.name, r.alexander) for r in records]
 
 
-def _row(row: Callable[..., dict], mode: BoundMode, opts: dict,
+def _row(row: Callable[..., dict], opts: dict,
          item: tuple[Optional[str], IntPoly]) -> dict:
     name, f = item
-    return {"name": name, "poly": format_poly(f), **row(f, mode, **opts)}
+    return {"name": name, "poly": format_poly(f), **row(f, **opts)}
 
 
 def _per_poly(name: str, summary: str, row: Callable[..., dict],
@@ -161,22 +161,23 @@ def _per_poly(name: str, summary: str, row: Callable[..., dict],
               check: Optional[Callable[..., None]] = None) -> None:
     """Register a subcommand that computes one row per input polynomial.
 
-    row(f, mode, **opts) is a module-level function (worker processes
-    unpickle it) returning the JSON row after its name and poly keys;
-    line(row) renders the row for humans.  check(**opts) rejects option
-    combinations before any input is read.
+    row(f, **opts) is a module-level function (worker processes unpickle
+    it) taking the command's options and returning the JSON row after its
+    name and poly keys; line(row) renders the row for humans.  check(**opts)
+    rejects option combinations before any input is read.
     """
-    def command(poly, poly_file, mode, jobs, as_json, **opts):
-        mode = BoundMode(mode)
+    def command(poly, poly_file, jobs, as_json, **opts):
         if check:
             check(**opts)
         with _domain_errors():
             items = _inputs(poly, poly_file)
-            rows = parallel_map(partial(_row, row, mode, opts), items, jobs)
+            rows = parallel_map(partial(_row, row, opts), items, jobs)
         if as_json:
-            click.echo(json.dumps(
-                {"mode": mode.value, "rigorous": mode is BoundMode.RIGOROUS,
-                 "results": rows}, separators=(",", ":")))
+            mode = opts.get("mode")
+            head = {} if mode is None else {
+                "mode": mode.value, "rigorous": mode is BoundMode.RIGOROUS}
+            click.echo(json.dumps({**head, "results": rows},
+                                  separators=(",", ":")))
             return
         for res in rows:
             prefix = f"{res['name']}: " if res["name"] else ""
@@ -192,7 +193,7 @@ def _poly_str(coeffs: list[int]) -> str:
     return format_poly(IntPoly(tuple(coeffs)))
 
 
-def _factor_row(f: IntPoly, mode: BoundMode) -> dict:
+def _factor_row(f: IntPoly) -> dict:
     fp = factor_over_z(f)
     return {"sign": fp.sign, "content": fp.content,
             "factors": [{"coeffs": list(g), "mult": m, "str": format_poly(g)}
@@ -271,8 +272,7 @@ def _murasugi_check(period: Optional[int], do_all: bool) -> None:
         raise click.UsageError("provide exactly one of --q or --all")
 
 
-def _murasugi_row(f: IntPoly, mode: BoundMode, period: Optional[int],
-                  do_all: bool) -> dict:
+def _murasugi_row(f: IntPoly, period: Optional[int], do_all: bool) -> dict:
     hits = murasugi_screen_all(f) if do_all else murasugi_screen(f, period)
     return {"hits": [{"q": h.q, "lam": h.lam, "shift": h.shift,
                       "sign": h.sign, "quotient": list(h.quotient),
@@ -292,19 +292,19 @@ _per_poly("factor", "Factor polynomials into irreducibles over the integers.",
           _factor_row, _factor_line)
 _per_poly("evalue",
           "Report the E invariant (0 for cyclotomic products) per polynomial.",
-          _evalue_row, _evalue_line)
+          _evalue_row, _evalue_line, _MODE)
 _per_poly("hartley-set",
           "Print all orders n >= 2 passing the free-period factorization test.",
-          _hartley_set_row, _hartley_set_line)
+          _hartley_set_row, _hartley_set_line, _MODE)
 _per_poly("hartley-check",
           "Decide whether each polynomial is n-Hartley, with a witness.",
-          _hartley_check_row, _hartley_check_line,
+          _hartley_check_row, _hartley_check_line, _MODE,
           click.option("--n", "order", type=int, required=True,
                        help="period order to test"),
           click.option("--knot", is_flag=True,
                        help="enforce Alexander-polynomial preconditions first"))
 _per_poly("witness", "Construct and verify an order-n witness factorization.",
-          _witness_row, _witness_line,
+          _witness_row, _witness_line, _MODE,
           click.option("--n", "order", type=int, required=True))
 _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
           _murasugi_row, _murasugi_line,
@@ -364,7 +364,6 @@ def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json, as_csv):
 
     Progress and ETA go to stderr when it is a terminal.
     """
-    mode = BoundMode(mode)
     if max_genus > 10 and not full:
         raise click.UsageError(
             "genus beyond 10 is a long run; pass --full to confirm")

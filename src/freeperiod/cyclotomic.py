@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .intpoly import IntPoly
+from .modpoly import PRIME_PROOF_LIMIT, is_prime
 
 
 # -- elementary arithmetic -------------------------------------------------
@@ -48,14 +49,41 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by Newton's method.
+
+    The start 2^ceil(bits/k) lies above the root, and each integer Newton
+    step stays at or above floor(n^(1/k)) while it decreases strictly, so
+    the first step that does not decrease ends at the root.
+    """
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+# the Murasugi sweep asks about the same small q for every polynomial
+@lru_cache(maxsize=256)
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, k) with q = p^k, or None when q is not a prime power."""
+    """(p, k) with q = p^k, or None when q is not a prime power.
+
+    Integer roots and a primality test, not factoring, so q may be large;
+    q at or past PRIME_PROOF_LIMIT raises ValueError, because the
+    primality test is proven only below it.
+    """
     if q < 2:
         return None
-    f = factorint(q)
-    if len(f) != 1:
-        return None
-    return next(iter(f.items()))
+    if q >= PRIME_PROOF_LIMIT:
+        raise ValueError(f"{q} is too large to test for a prime power")
+    for k in range(1, q.bit_length()):
+        p = iroot(q, k)
+        if p ** k == q and is_prime(p):
+            return p, k
+    return None
 
 
 def v_p(n: int, p: int) -> int:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import cyclotomic, cyclotomic_tag, divisors, factorint, v_p
+from .cyclotomic import cyclotomic, cyclotomic_tag, divisors, factorint, iroot, v_p
 from .intpoly import IntPoly, content_primitive, trace_reduce
 from .mahler import BoundMode, prime_bound
 from .modpoly import (
@@ -72,8 +72,9 @@ class EValue:
 def rational_power_index(numerator: int, denominator: int) -> EValue:
     """E for a rational alpha = numerator/denominator in lowest terms.
 
-    E is the gcd of all prime exponents of |num| and |den|; a negative
-    alpha cannot be an even power, so the 2-part is dropped.
+    E is the largest k with |num| and den both exact k-th powers (the gcd
+    of their prime exponents, found by integer roots, not factoring); a
+    negative alpha cannot be an even power, so the 2-part is dropped.
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
@@ -81,14 +82,9 @@ def rational_power_index(numerator: int, denominator: int) -> EValue:
         raise ValueError("fraction not in lowest terms")
     if numerator == 0 or abs(numerator) == denominator:
         raise ValueError("0 and +-1 have no finite power invariant")
-    exps: list[int] = []
-    for v in (abs(numerator), denominator):
-        if v > 1:
-            exps.extend(factorint(v).values())
-    e = math.gcd(*exps) if exps else 0
-    if e == 0:
-        # |num| = 1 or den = 1 with the other side trivial cannot happen here
-        raise AssertionError("unreachable: no prime support")
+    # max(|num|, den) > 1 here, and a k-th power above 1 has more than k bits
+    e = next(k for k in range(max(abs(numerator), denominator).bit_length(), 0, -1)
+             if all(iroot(v, k) ** k == v for v in (abs(numerator), denominator)))
     if numerator < 0:
         while e % 2 == 0:
             e //= 2
@@ -356,15 +352,7 @@ class HartleyProfile:
     default_cap: float
     factor_data: tuple[tuple[IntPoly, int, EValue], ...]
     t_power: int
-    mode: BoundMode
     e_gcd_literal: int
-    sign: int
-
-    def cap(self, p: int) -> float:
-        for q, c in self.caps:
-            if q == p:
-                return c
-        return self.default_cap
 
     @property
     def n_cap_product(self) -> Optional[int]:
@@ -388,7 +376,6 @@ def profile_from_factors(
     factors: list[tuple[IntPoly, int]],
     mode: BoundMode = BoundMode.HEURISTIC,
     t_power: int = 0,
-    sign: int = 1,
 ) -> HartleyProfile:
     """Assemble a profile from an already-known irreducible factorization."""
     data = []
@@ -415,9 +402,7 @@ def profile_from_factors(
         default_cap=default_cap,
         factor_data=tuple(data),
         t_power=t_power,
-        mode=mode,
         e_gcd_literal=e_gcd,
-        sign=sign,
     )
 
 
@@ -441,14 +426,22 @@ def hartley_profile(delta: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> Ha
             t_pow = a
         else:
             rest.append((g, a))
-    return profile_from_factors(rest, mode, t_power=t_pow, sign=fac.sign)
+    return profile_from_factors(rest, mode, t_power=t_pow)
 
 
 def is_n_hartley(profile: HartleyProfile, n: int) -> bool:
-    """True iff v_p(n) <= cap(p) for every prime p dividing n."""
+    """True iff v_p(n) <= cap(p) for every prime p dividing n.
+
+    Decided without factoring n: a finite profile passes exactly the
+    divisors of its cap product, an infinite one bounds only the primes
+    in its caps.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return all(r <= profile.cap(p) for p, r in factorint(n).items())
+    big = profile.n_cap_product
+    if big is not None:
+        return big % n == 0
+    return all(v_p(n, p) <= c for p, c in profile.caps)
 
 
 @dataclass(frozen=True)
@@ -512,6 +505,11 @@ def _power_sums_monic(coeffs: tuple[int, ...], upto: int) -> list[int]:
     return s
 
 
+# power sums one rotation product may build: d * n of them, which for a
+# cyclotomic witness of degree 2 still admits n = 1000003
+VERIFY_POWER_SUMS = 4_000_000
+
+
 def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     """R with prod_{i<n} g(zeta_n^i t) = ((-1)^(n-1))^(deg g) * R(t^n).
 
@@ -521,7 +519,8 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     Newton's identities turn those into the elementary symmetric functions
     e_j of the (lc * beta)^n.  R's coefficient of x^(d-j) is then
     (-1)^j * e_j * lc^n / lc^(nj).  Exact integer arithmetic; raises on the
-    impossible case of a non-integral coefficient.
+    impossible case of a non-integral coefficient, and raises ValueError
+    when d * n exceeds VERIFY_POWER_SUMS.
     """
     if not g:
         return IntPoly.zero()
@@ -529,6 +528,9 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     lc = g.lc
     if d == 0:
         return IntPoly.constant(lc**n)
+    if d * n > VERIFY_POWER_SUMS:
+        raise ValueError(f"witness verification at degree {d}, n = {n} needs"
+                         f" {d * n} power sums, over {VERIFY_POWER_SUMS}")
     monic = tuple(c * lc ** (d - 1 - i) for i, c in enumerate(g.coeffs[:d])) + (1,)
     s = _power_sums_monic(monic, d * n)
     pows = [s[k * n] for k in range(1, d + 1)]
@@ -570,11 +572,14 @@ def verify_witness(delta: IntPoly, n: int, g: IntPoly) -> tuple[bool, Optional[i
 
 
 def _witness_s(ev: EValue, n: int) -> int:
-    """s = prod_p p^min(s_i(p), v_p(n)) for the factor's rule."""
-    s = 1
-    for p, r in factorint(n).items():
-        sp = _s_value(ev, p)
-        s *= p ** int(min(sp, r))
+    """s = prod_p p^min(s_i(p), v_p(n)) for the factor's rule: gcd(E, n)
+    for a non-cyclotomic factor, n with every prime of m divided out for
+    Phi_m."""
+    if not ev.is_cyclotomic:
+        return math.gcd(ev.e, n)
+    s = n
+    while (g := math.gcd(s, ev.cyclotomic_order)) > 1:
+        s //= g
     return s
 
 
@@ -632,7 +637,6 @@ class KnotCheckReport:
     certificate: Optional[WitnessCertificate]
     witness_unit_at_one: Optional[bool]
     witness_palindromic: Optional[bool]
-    mode: BoundMode
 
 
 def hartley_knot_check(
@@ -653,7 +657,7 @@ def hartley_knot_check(
         delta = -delta
     profile = hartley_profile(delta, mode)
     if not is_n_hartley(profile, n):
-        return KnotCheckReport(delta, n, False, None, None, None, mode)
+        return KnotCheckReport(delta, n, False, None, None, None)
     cert = construct_witness(delta, n, mode)
     w = cert.witness
     return KnotCheckReport(
@@ -663,5 +667,4 @@ def hartley_knot_check(
         cert,
         w(1) in (1, -1),
         w.is_palindromic_up_to_sign(),
-        mode,
     )

@@ -20,7 +20,6 @@ candidates whose free or ordinary periodicity is not obstructed.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -31,9 +30,10 @@ from functools import lru_cache, partial
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse
+from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly
+from .modpoly import is_prime
 from .murasugi import MurasugiHit, murasugi_screen_all
 from .zfactor import factor_over_z
 
@@ -122,31 +122,50 @@ def enumerate_candidates(
 # -- factoring candidates --------------------------------------------------
 
 
+def _cyclo_trial(m: int) -> tuple[IntPoly, int, int]:
+    """(Phi_m, q, z) with q the least prime = 1 mod m above 2^14 and z a
+    root of Phi_m mod q.  For the m of degrees through 64, q < 2^15, so a
+    Horner step val * z + c mod q stays within one 30-bit int digit, and
+    a Phi_m that does not divide rem passes the screen about once in q."""
+    phim = cyclotomic(m)
+    q = (2**14 // m + 1) * m + 1
+    while not is_prime(q):
+        q += m
+    # the x^((q-1)/m) are the m-th roots of unity mod q, and q = 1 mod m
+    # makes some of them primitive
+    z = next(z for z in (pow(x, (q - 1) // m, q) for x in range(2, q))
+             if phim(z) % q == 0)
+    return phim, q, z
+
+
 @lru_cache(maxsize=None)
-def _cyclo_trials(deg: int) -> tuple[tuple[IntPoly, complex], ...]:
-    # Phi_m with 2 <= phi(m) <= deg, paired with one primitive m-th root
-    # for a cheap numeric divisibility screen.  Degree-1 cyclotomics never
-    # divide a candidate: poly(1) = 1 and poly(-1) is odd.
-    ms = sorted(m for k in range(2, deg + 1, 2) for m in phi_inverse(k))
-    return tuple((cyclotomic(m), cmath.exp(2j * math.pi / m)) for m in ms)
+def _cyclo_trials(deg: int) -> tuple[tuple[IntPoly, int, int], ...]:
+    # Phi_m with 2 <= phi(m) <= deg, each with a prime q and a root z of
+    # Phi_m mod q for an exact divisibility screen.  Degree-1 cyclotomics
+    # never divide a candidate: poly(1) = 1 and poly(-1) is odd; nor does
+    # Phi_m for a prime power m, since Phi_(p^k)(1) = p.
+    ms = sorted(m for k in range(2, deg + 1, 2) for m in phi_inverse(k)
+                if prime_power(m) is None)
+    return tuple(_cyclo_trial(m) for m in ms)
 
 
 def _factor_candidate(poly: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     """Irreducible factorization of a monic candidate polynomial.
 
-    Cyclotomic factors are stripped by trial division first (the numeric
-    root screen only skips divisions that cannot succeed; missed strips
-    would still be caught by the full factorization of the cofactor).
+    Cyclotomic factors are stripped by trial division first.  Phi_m | rem
+    forces rem(z) = 0 mod q at a root z of Phi_m mod q, so a nonzero value
+    soundly skips the division; missed strips would still be caught by the
+    full factorization of the cofactor.
     """
     bag: dict[IntPoly, int] = {}
     rem = poly
-    for phim, zeta in _cyclo_trials(int(poly.degree)):
+    for phim, q, z in _cyclo_trials(int(poly.degree)):
         if phim.degree > rem.degree:
             continue
-        val = 0j
+        val = 0
         for c in reversed(tuple(rem)):
-            val = val * zeta + c
-        if abs(val) > 1e-6:
+            val = (val * z + c) % q
+        if val:
             continue
         while True:
             quo = rem.try_divide(phim)
@@ -353,7 +372,7 @@ class SurveyReport:
 
     def to_csv(self) -> str:
         lines = ["genus,exponents,poly,cyclotomic_product,e_gcd,"
-                 "hartley_set,murasugi_screened,murasugi_hits"]
+                 "hartley_set,murasugi_screened,murasugi_hits,mode,top_gap_1"]
         for r in self.records:
             hits = "" if r.murasugi is None else "; ".join(
                 f"q={h.q} lam={h.lam} shift={h.shift} sign={h.sign:+d}"
@@ -365,7 +384,9 @@ class SurveyReport:
                    "" if r.e_gcd is None else str(r.e_gcd),
                    str(r.hartley),
                    str(r.murasugi is not None).lower(),
-                   hits]
+                   hits,
+                   self.mode.value,
+                   str(self.top_gap_1).lower()]
             lines.append(",".join(
                 f'"{cell}"' if "," in cell else cell for cell in row))
         return "\n".join(lines) + "\n"

@@ -31,11 +31,13 @@ import numpy as np
 
 # -- primality -------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster)
+PRIME_PROOF_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin; exact for n < PRIME_PROOF_LIMIT."""
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -119,6 +119,9 @@ def test_murasugi_domain_errors(runner):
     assert res.exit_code == 1 and "not a prime power" in res.stderr
     res = runner.invoke(main, ["murasugi", "--poly", "t^2 + 1", "--q", "2"])
     assert res.exit_code == 1 and "evaluate to +-1" in res.stderr
+    res = runner.invoke(main, ["murasugi", "--poly", TREFOIL,
+                               "--q", str(10**25)])
+    assert res.exit_code == 1 and "too large" in res.stderr
 
 
 # -- usage errors ----------------------------------------------------------
@@ -218,15 +221,39 @@ def test_ingest_missing_file_and_header(runner, tmp_path):
 # -- mode plumbing ---------------------------------------------------------
 
 
-def test_mode_env_default_and_flag_override(runner):
-    res = runner.invoke(main, ["evalue", "--poly", FIG8, "--json"],
-                        env={"FPL_MODE": "rigorous"})
+def test_mode_flag_only_where_a_bound_is_computed(runner):
+    res = runner.invoke(main, ["evalue", "--poly", FIG8, "--json",
+                               "--mode", "rigorous"])
     payload = json.loads(res.output)
     assert payload["mode"] == "rigorous" and payload["rigorous"] is True
-    res = runner.invoke(main, ["evalue", "--poly", FIG8, "--json",
-                               "--mode", "heuristic"],
-                        env={"FPL_MODE": "rigorous"})
-    assert json.loads(res.output)["mode"] == "heuristic"
+    res = runner.invoke(main, ["factor", "--poly", FIG8, "--mode", "rigorous"])
+    assert res.exit_code == 2
+    res = runner.invoke(main, ["factor", "--poly", FIG8, "--json"])
+    assert list(json.loads(res.output)) == ["results"]
+
+
+# -- large integers --------------------------------------------------------
+
+M61 = str(2**61 - 1)  # a prime: trial division would never finish
+
+
+@pytest.mark.parametrize("args, code, out", [
+    (["hartley-check", "--poly", FIG8, "--n", M61], 0, f"n = {M61}: no\n"),
+    (["hartley-check", "--poly", TREFOIL, "--n", M61], 1,
+     "witness verification"),
+    (["witness", "--poly", TREFOIL, "--n", M61], 1, "witness verification"),
+    (["witness", "--poly", TREFOIL, "--n", "100000007"], 1,
+     "witness verification"),
+    (["murasugi", "--poly", FIG8, "--q", M61], 0,
+     "no hits (screen obstructs the period)\n"),
+    (["evalue", "--poly", f"t - {M61}"], 0, "E = 1, set {}\n"),
+])
+def test_large_integer_inputs_end_promptly(runner, args, code, out):
+    start = time.monotonic()
+    res = runner.invoke(main, args)
+    assert time.monotonic() - start < 1.0
+    assert res.exit_code == code
+    assert res.stdout == out if code == 0 else out in res.stderr
 
 
 # -- survey ----------------------------------------------------------------

@@ -12,7 +12,8 @@ from freeperiod import (
     phi_inverse,
     prime_power,
 )
-from freeperiod.cyclotomic import cyclotomic, divisors, euler_phi, factorint, v_p
+from freeperiod.cyclotomic import cyclotomic, divisors, euler_phi, factorint, iroot, v_p
+from freeperiod.modpoly import PRIME_PROOF_LIMIT
 
 
 def test_package_attribute_is_the_submodule():
@@ -48,6 +49,18 @@ def test_prime_power_cases():
     assert prime_power(1) is None
     assert prime_power(6) is None
     assert prime_power(12) is None
+    m61 = 2**61 - 1
+    assert prime_power(m61) == (m61, 1)
+    assert prime_power(m61 * 3) is None
+    assert prime_power(3**50) == (3, 50)
+    with pytest.raises(ValueError, match="too large"):
+        prime_power(PRIME_PROOF_LIMIT)
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=70))
+def test_iroot_is_the_floor_root(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 @given(st.integers(min_value=1, max_value=10000),

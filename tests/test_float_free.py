@@ -1,0 +1,67 @@
+"""The library decides in integers: floating point only in Voutier's bound.
+
+Every module of the package is parsed, not imported, so the check sees
+code on every path, including ones no other test reaches.
+"""
+
+import ast
+from pathlib import Path
+
+import freeperiod
+
+FLOAT_MATH = {"log", "exp", "sqrt", "pi"}
+ALLOWED = ("mahler.py", ("voutier_log2_lb",))
+
+
+class _FloatUses(ast.NodeVisitor):
+    """(file, enclosing functions, line, what) for each cmath import and
+    each use of a float function of math."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.scope: list[str] = []
+        self.found: list[tuple[str, tuple[str, ...], int, str]] = []
+
+    def _add(self, node: ast.AST, what: str) -> None:
+        self.found.append((self.name, tuple(self.scope), node.lineno, what))
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == "cmath":
+                self._add(node, "import cmath")
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        names = {alias.name for alias in node.names}
+        if node.module == "cmath" or (node.module == "math" and names & FLOAT_MATH):
+            self._add(node, f"from {node.module} import {sorted(names)}")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (isinstance(node.value, ast.Name) and node.value.id == "math"
+                and node.attr in FLOAT_MATH):
+            self._add(node, f"math.{node.attr}")
+        self.generic_visit(node)
+
+
+def _float_uses():
+    found = []
+    for path in sorted(Path(freeperiod.__file__).parent.glob("*.py")):
+        visitor = _FloatUses(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.extend(visitor.found)
+    return found
+
+
+def test_floats_only_in_voutiers_bound():
+    found = _float_uses()
+    # the scan sees the one sanctioned use, so an empty result means
+    # something
+    assert any((name, scope) == ALLOWED for name, scope, _, _ in found)
+    stray = [f for f in found if (f[0], f[1]) != ALLOWED]
+    assert stray == []

@@ -299,10 +299,14 @@ def test_e_of_irreducible_rigorous_stall_candidate_is_quick():
 # -- profiles and caps -----------------------------------------------------
 
 
+def _cap(prof, p):
+    return dict(prof.caps).get(p, prof.default_cap)
+
+
 def test_profile_cyclotomic_coprimality():
     prof = hartley_profile(cyclotomic(6))
     assert prof.default_cap == INF
-    assert prof.cap(2) == 0 and prof.cap(3) == 0 and prof.cap(5) == INF
+    assert _cap(prof, 2) == 0 and _cap(prof, 3) == 0 and _cap(prof, 5) == INF
     for n in range(2, 40):
         assert is_n_hartley(prof, n) == (math.gcd(n, 6) == 1)
 
@@ -320,7 +324,7 @@ def test_profile_mixed_gcd_mismatch():
     # Phi_6 forbids n = 2 although the flat gcd formula still reports 2
     prof = profile_from_factors([(cyclotomic(6), 1), (FIG8, 1)])
     assert prof.e_gcd_literal == 2
-    assert prof.cap(2) == 0 and prof.caps == ()
+    assert _cap(prof, 2) == 0 and prof.caps == ()
     assert prof.n_cap_product == 1
     assert hartley_set(prof).members == ()
 
@@ -328,14 +332,14 @@ def test_profile_mixed_gcd_mismatch():
 def test_profile_multiplicity_power_law():
     for s in range(3):
         prof = profile_from_factors([(FIG8, 2**s)])
-        assert prof.cap(2) == s + 1
+        assert _cap(prof, 2) == s + 1
         assert is_n_hartley(prof, 2 ** (s + 1))
         assert not is_n_hartley(prof, 2 ** (s + 2))
 
 
 def test_profile_odd_multiplicity_does_not_feed_two():
     prof = profile_from_factors([(GOLDEN, 3)])
-    assert prof.cap(3) == 1 and prof.cap(2) == 0
+    assert _cap(prof, 3) == 1 and _cap(prof, 2) == 0
     assert hartley_set(prof).members == (3,)
 
 
@@ -539,7 +543,6 @@ def test_knot_check_fig8_passes_preconditions():
     assert rep.witness_unit_at_one
     # the golden witness is not self-reciprocal: its mirror is t^2 + t - 1
     assert not rep.witness_palindromic
-    assert rep.mode is BoundMode.HEURISTIC
 
 
 def test_knot_check_normalizes_negative_constant():

@@ -311,9 +311,13 @@ def test_csv_shape_and_parseability():
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["genus", "exponents", "poly", "cyclotomic_product",
                        "e_gcd", "hartley_set", "murasugi_screened",
-                       "murasugi_hits"]
+                       "murasugi_hits", "mode", "top_gap_1"]
     assert len(rows) == 1 + 15
     assert [r[0] for r in rows[1:]] == [str(rec.candidate.genus)
                                         for rec in rep.records]
     # polynomial cells contain commas only via quoting, never raw
-    assert all(len(r) == 8 for r in rows[1:])
+    assert all(len(r) == 10 for r in rows[1:])
+    assert {(r[8], r[9]) for r in rows[1:]} == {("heuristic", "false")}
+    text = survey(4, BoundMode.RIGOROUS, FilterConfig(top_gap_1=True)).to_csv()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert {(r["mode"], r["top_gap_1"]) for r in rows} == {("rigorous", "true")}

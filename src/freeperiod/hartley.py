@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import cyclotomic, cyclotomic_tag, divisors, factorint, iroot, v_p
+from .cyclotomic import (
+    cyclotomic, cyclotomic_tag, divisors, euler_phi, factorint, iroot, v_p)
 from .intpoly import IntPoly, content_primitive, trace_reduce
 from .mahler import BoundMode, prime_bound
 from .modpoly import (
@@ -510,6 +511,33 @@ def _power_sums_monic(coeffs: tuple[int, ...], upto: int) -> list[int]:
 VERIFY_POWER_SUMS = 4_000_000
 
 
+# cyclotomic orders past this are not tried by the closed form; every order
+# of degree phi(j) <= 180 lies below it (phi(j) >= sqrt(j / 2))
+CLOSED_FORM_ORDERS = 65_536
+
+
+def _cyclotomic_rotation_product(g: IntPoly, n: int) -> Optional[IntPoly]:
+    """lc^n * prod_beta (x - beta^n) when g = +-prod Phi_j^(e_j), else None.
+
+    With k = gcd(j, n), the n-th powers of the primitive j-th roots cover
+    the primitive (j/k)-th roots phi(j)/phi(j/k) times each, so Phi_j
+    contributes Phi_(j/k)^(phi(j)/phi(j/k)).  No power sums: the cost does
+    not grow with n.  Factors Phi_j are found by trial division in
+    ascending j up to CLOSED_FORM_ORDERS; a g with a leftover gives None.
+    """
+    if g.lc not in (1, -1) or not g.is_palindromic_up_to_sign():
+        return None
+    rem, out, j = g * g.lc, IntPoly.constant(g.lc**n), 1
+    while rem.degree > 0 and j <= min(2 * rem.degree**2 + 2, CLOSED_FORM_ORDERS):
+        if euler_phi(j) <= rem.degree:
+            k = math.gcd(j, n)
+            while (quo := rem.try_divide(cyclotomic(j))) is not None:
+                rem = quo
+                out = out * cyclotomic(j // k) ** (euler_phi(j) // euler_phi(j // k))
+        j += 1
+    return out if rem.degree == 0 else None
+
+
 def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     """R with prod_{i<n} g(zeta_n^i t) = ((-1)^(n-1))^(deg g) * R(t^n).
 
@@ -519,8 +547,9 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     Newton's identities turn those into the elementary symmetric functions
     e_j of the (lc * beta)^n.  R's coefficient of x^(d-j) is then
     (-1)^j * e_j * lc^n / lc^(nj).  Exact integer arithmetic; raises on the
-    impossible case of a non-integral coefficient, and raises ValueError
-    when d * n exceeds VERIFY_POWER_SUMS.
+    impossible case of a non-integral coefficient.  When d * n exceeds
+    VERIFY_POWER_SUMS, a g whose factors are all cyclotomic takes the closed
+    form of _cyclotomic_rotation_product and any other g raises ValueError.
     """
     if not g:
         return IntPoly.zero()
@@ -529,6 +558,9 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     if d == 0:
         return IntPoly.constant(lc**n)
     if d * n > VERIFY_POWER_SUMS:
+        closed = _cyclotomic_rotation_product(g, n)
+        if closed is not None:
+            return closed
         raise ValueError(f"witness verification at degree {d}, n = {n} needs"
                          f" {d * n} power sums, over {VERIFY_POWER_SUMS}")
     monic = tuple(c * lc ** (d - 1 - i) for i, c in enumerate(g.coeffs[:d])) + (1,)

@@ -35,7 +35,7 @@ from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly
 from .modpoly import is_prime
 from .murasugi import MurasugiHit, murasugi_screen_all
-from .zfactor import factor_over_z
+from .zfactor import FactoredPoly, factor_over_z
 
 SCHEMA_VERSION = 1
 
@@ -234,7 +234,7 @@ def candidate_record(cand: Candidate,
         hits = None
         e_gcd = None
     else:
-        hits = tuple(murasugi_screen_all(cand.poly))
+        hits = tuple(murasugi_screen_all(cand.poly, FactoredPoly(1, 1, factors)))
         e_gcd = profile.e_gcd_literal
     return CandidateRecord(candidate=cand, factors=factors,
                            cyclotomic_product=cyclo, hartley=hset,

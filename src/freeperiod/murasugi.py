@@ -7,20 +7,20 @@ A knot with period q = p^r (p prime) has Alexander polynomial satisfying
 where D is a mod-p representative of the quotient knot's Alexander
 polynomial and lam is the linking number of the quotient with the rotation
 axis (Murasugi, On periodic knots, Comment. Math. Helv. 46, 1971).  The
-screen below finds every (lam, a, sign, D) solving the congruence.  A hit
-means "screen passed": the congruence is a necessary condition for
-periodicity, so an empty result rules the period out while a hit certifies
-nothing.
+screen finds every (lam, a, sign, D) solving the congruence.  A hit means
+"screen passed": the congruence is a necessary condition for periodicity,
+so an empty result rules the period out while a hit certifies nothing.
 
-Degree bookkeeping bounds the search: deg Delta >= q*deg D + (q-1)(lam-1),
-so lam ranges over (lam-1)(q-1) <= deg Delta.  For fixed (lam, a, sign) the
-candidate D is unique when it exists: divide sign*Delta mod p by
-t^a * (1+...+t^(lam-1))^(q-1), demand zero remainder and quotient support
-inside q*Z, and deflate.  The run power has constant term 1, so the
-division runs from the low end and abandons (lam, a, sign) at the first
-quotient coefficient off q*Z.  Hits are re-verified by multiplying D(t)^q
-back out, which exercises the Frobenius identity D(t)^q = D(t^q) mod p
-instead of the deflation used by the solver.
+Degree bookkeeping bounds the search to (lam-1)(q-1) <= deg Delta.  Over
+F_p, f(t)^q = f(t^q), so with R = 1 + t + ... + t^(lam-1) the congruence
+holds exactly when Delta * R = sign * t^a * P(t^q) with P(u) = D(u) R(u).
+The coefficients of Delta * R are window sums of lam consecutive
+coefficients of Delta: one running sum per (q, lam) must vanish off
+ord0 + qZ (ord0 the low exponent of Delta mod p) and reads off P, and
+D = P (1-u) / (1-u^lam) by a two-term recurrence whose tail must vanish.
+Sign -1 takes -D (q is odd when p is) and a shift ord0 - k*q takes u^k D.
+Hits are re-verified by multiplying D(t)^q back out, which does not use
+the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .cyclotomic import divisors, prime_power
 from .intpoly import IntPoly
-from .modpoly import gfp_mul, reduce_mod_p
+from .modpoly import gfp_mul, is_prime, reduce_mod_p
 from .zfactor import FactoredPoly, factor_over_z
 
 
@@ -86,31 +86,46 @@ def _run_power(lam: int, q: int, p: int) -> tuple[int, ...]:
     return tuple(_poly_pow([1] * lam, q - 1, p))
 
 
-def _lattice_quotient(a: list[int], shape: tuple[int, ...], q: int,
-                      p: int) -> list[int] | None:
-    """a / shape in F_p[t] when the division is exact and the quotient is
-    supported on multiples of q, else None.
+def _frobenius_quotient(body: list[int], lam: int, q: int,
+                        p: int) -> tuple[int, ...] | None:
+    """D with body = D(t)^q * R(t)^(q-1) in F_p[t], body[0] != 0, or None.
 
-    shape[0] == 1 (it is a power of 1 + t + ... + t^(lam-1)), so the
-    division runs from the low end with no inverse and stops at the first
-    quotient coefficient off the multiples of q; the top len(shape) - 1
-    coefficients of a are checked exactly at the end.
+    Coefficient k of body * R is the sum of body over k - lam < j <= k.
     """
-    n = len(a) - len(shape) + 1
-    if n <= 0:
-        return None
-    rem = list(a)
-    quo = [0] * n
-    for k in range(n):
-        c = rem[k]
-        if c:
-            if k % q:
-                return None
-            quo[k] = c
-            for j, s in enumerate(shape):
-                if s:
-                    rem[k + j] = (rem[k + j] - c * s) % p
-    return None if any(rem[n:]) else quo
+    n, big_p, s = len(body), [], 0
+    for k in range(n + lam - 1):
+        s += (body[k] if k < n else 0) - (body[k - lam] if k >= lam else 0)
+        if k % q == 0:
+            big_p.append(s % p)
+        elif s % p:
+            return None
+    # (1 - u^lam) D = (1 - u) P: D_i = P_i - P_(i-1) + D_(i-lam), zero past top
+    top, d = len(big_p) - lam, []
+    for i, c in enumerate(big_p + [0]):
+        c = (c - (big_p[i - 1] if i else 0) + (d[i - lam] if i >= lam else 0)) % p
+        if i <= top:
+            d.append(c)
+        elif c:
+            return None
+    return tuple(d) if top >= 0 else None
+
+
+def _solutions(dbar: list[int], q: int, p: int,
+               deg: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """Every (lam, shift, sign, D) solving the congruence, in report order."""
+    ord0 = next(i for i, c in enumerate(dbar) if c)
+    body, out = dbar[ord0:], []
+    # the top term body[-1] t^(len(body) + lam - 2) of Delta * R sits on qZ
+    for lam in range((1 - len(body)) % q + 1, deg // (q - 1) + 2, q):
+        d0 = _frobenius_quotient(body, lam, q, p)
+        if d0 is None or sum(d0) % p not in (1, p - 1):
+            continue
+        for k in range(ord0 // q, -1, -1):
+            d_bar = (0,) * k + d0
+            out.append((lam, ord0 - k * q, 1, d_bar))
+            if p != 2:
+                out.append((lam, ord0 - k * q, -1, tuple(-c % p for c in d_bar)))
+    return out
 
 
 def verify_hit(delta: IntPoly, hit: MurasugiHit) -> bool:
@@ -126,28 +141,32 @@ def verify_hit(delta: IntPoly, hit: MurasugiHit) -> bool:
 
 def _reduced_divisor_set(factored: FactoredPoly, p: int) -> set[tuple[int, ...]]:
     # Mod-p images of every integer divisor +-d * prod f_i^(e_i') of the
-    # factored polynomial, deduplicated as we go.
-    images = {(1 % p,)}
+    # factored polynomial, deduplicated as we go; primitive f_i stay nonzero.
+    images = {(1,)}
     for f, mult in factored.factors:
-        fbar = reduce_mod_p(f, p)
-        grown = set(images)
-        power = [1 % p]
+        fbar, power, grown = reduce_mod_p(f, p), [1], set(images)
         for _ in range(mult):
             power = gfp_mul(power, fbar, p)
-            if not power:
-                break
-            for base in images:
-                grown.add(tuple(gfp_mul(list(base), power, p)))
+            grown.update(tuple(gfp_mul(list(base), power, p)) for base in images)
         images = grown
-    full = set()
-    for d in divisors(factored.content):
-        if d % p == 0:
-            continue
-        for base in images:
-            pos = tuple(c * d % p for c in base)
-            full.add(pos)
-            full.add(tuple(-c % p for c in pos))
-    return full
+    units = [s * d for d in divisors(factored.content) if d % p for s in (1, -1)]
+    return {tuple(u * c % p for c in base) for base in images for u in units}
+
+
+def _screen_powers(delta: IntPoly, p: int, qs: tuple[int, ...],
+                   factored: FactoredPoly | None) -> list[MurasugiHit]:
+    # one reduction of delta and one divisor-image set serve every q = p^r
+    dbar, reduced, hits = reduce_mod_p(delta, p), None, []
+    for q in qs:
+        for lam, shift, sign, d_bar in _solutions(dbar, q, p, int(delta.degree)):
+            if reduced is None:
+                reduced = _reduced_divisor_set(factored or factor_over_z(delta), p)
+            hit = MurasugiHit(q=q, lam=lam, quotient=IntPoly(d_bar), shift=shift,
+                              sign=sign, divides=d_bar in reduced)
+            if not verify_hit(delta, hit):
+                raise AssertionError(f"Murasugi hit failed re-verification: {hit}")
+            hits.append(hit)
+    return hits
 
 
 def murasugi_screen(delta: IntPoly, q: int) -> list[MurasugiHit]:
@@ -161,49 +180,28 @@ def murasugi_screen(delta: IntPoly, q: int) -> list[MurasugiHit]:
     """
     p = _prime_of(q)
     _require_screenable(delta)
-    deg = int(delta.degree)
-    dbar = reduce_mod_p(delta, p)
-    ord0 = next(i for i, c in enumerate(dbar) if c)
-    raw = []
-    for sign in (1,) if p == 2 else (1, -1):
-        target = dbar if sign > 0 else [-c % p for c in dbar]
-        lam = 1
-        while (lam - 1) * (q - 1) <= deg:
-            shape = _run_power(lam, q, p)
-            for shift in range(ord0 % q, ord0 + 1, q):
-                quo = _lattice_quotient(target[shift:], shape, q, p)
-                if quo is None:
-                    continue
-                d_bar = quo[::q]
-                if sum(d_bar) % p not in (1, p - 1):
-                    continue
-                raw.append((lam, shift, sign, tuple(d_bar)))
-            lam += 1
-    if not raw:
-        return []
-    reduced = _reduced_divisor_set(factor_over_z(delta), p)
-    hits = []
-    for lam, shift, sign, d_bar in sorted(
-            raw, key=lambda r: (r[0], r[1], -r[2], r[3])):
-        hit = MurasugiHit(q=q, lam=lam, quotient=IntPoly(d_bar), shift=shift,
-                          sign=sign, divides=d_bar in reduced)
-        assert verify_hit(delta, hit)
-        hits.append(hit)
-    return hits
+    return _screen_powers(delta, p, (q,), None)
 
 
-def murasugi_screen_all(delta: IntPoly) -> list[MurasugiHit]:
-    """Run murasugi_screen at every prime power q with q - 1 <= deg delta.
+@lru_cache(maxsize=None)
+def _prime_powers_upto(top: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((p, tuple(p**r for r in range(1, top.bit_length()) if p**r <= top))
+                 for p in range(2, top + 1) if is_prime(p))
+
+
+def murasugi_screen_all(delta: IntPoly,
+                        factored: FactoredPoly | None = None) -> list[MurasugiHit]:
+    """murasugi_screen at every prime power q with q - 1 <= deg delta, in
+    ascending q.
 
     Larger q admit no solution except when delta reduces to a monomial, so
     the range is exhaustive for the polynomials screened here; q = 2 is
     always included so constant polynomials still report their trivial
-    hits.
+    hits.  factored, a factorization of delta, sets the divides flags
+    without factoring delta again; the hits are the same without it.
     """
     _require_screenable(delta)
-    top = max(int(delta.degree), 1) + 1
     hits = []
-    for q in range(2, top + 1):
-        if prime_power(q) is not None:
-            hits.extend(murasugi_screen(delta, q))
-    return hits
+    for p, qs in _prime_powers_upto(max(int(delta.degree), 1) + 1):
+        hits += _screen_powers(delta, p, qs, factored)
+    return sorted(hits, key=lambda h: h.q)

@@ -28,7 +28,8 @@ from freeperiod import (
     verify_witness,
 )
 from freeperiod.cyclotomic import cyclotomic
-from freeperiod.hartley import _aux_primes, _power_residue_rejects
+from freeperiod.hartley import (
+    _aux_primes, _cyclotomic_rotation_product, _power_residue_rejects)
 from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
@@ -448,6 +449,30 @@ def test_nth_power_product_supported_on_multiples(g, n):
     support = [k for k, c in enumerate(ref) if c]
     assert all(k % n == 0 for k in support)
     assert max(support) == g.degree * n
+
+
+@pytest.mark.parametrize("j", range(1, 31))
+def test_cyclotomic_closed_form_equals_power_sums(j):
+    # R for Phi_j is Phi_(j/d)^(phi(j)/phi(j/d)), d = gcd(j, n); products
+    # and a negative sign go through the same path
+    for g in (cyclotomic(j), -(cyclotomic(j) ** 2 * cyclotomic(1) * cyclotomic(6))):
+        for n in range(2, 13):
+            assert _cyclotomic_rotation_product(g, n) == rotation_product_deflated(g, n)
+
+
+def test_closed_form_only_for_cyclotomic_products():
+    for g in (GOLDEN, IntPoly((0, 1, -1, 1)), 2 * cyclotomic(6), FIG8 * cyclotomic(7)):
+        assert _cyclotomic_rotation_product(g, 5) is None
+
+
+def test_past_the_power_sum_budget():
+    n = 2**61 - 1
+    assert verify_witness(TREFOIL, n, TREFOIL) == (True, 1)
+    assert verify_witness(cyclotomic(15), n, cyclotomic(15)) == (True, 1)
+    # gcd(6, 3n) = 3: the 3n-th powers of the primitive 6th roots are -1
+    assert verify_witness(cyclotomic(2) ** 2, 3 * n, cyclotomic(6)) == (True, 1)
+    with pytest.raises(ValueError, match="witness verification"):
+        verify_witness(FIG8, n, GOLDEN)
 
 
 def test_verify_witness_fig8():

@@ -1,9 +1,16 @@
 """Murasugi congruence screen: paper vectors, completeness, verification."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import freeperiod
 from freeperiod import (
+    FactoredPoly,
     IntPoly,
     MurasugiHit,
     murasugi_screen,
@@ -12,6 +19,7 @@ from freeperiod import (
     verify_hit,
 )
 from freeperiod.cyclotomic import cyclotomic, prime_power
+from freeperiod.lspace import candidate_record, enumerate_candidates
 from freeperiod.modpoly import gfp_divmod, reduce_mod_p
 from freeperiod.murasugi import _run_power
 
@@ -123,18 +131,27 @@ def _in_order(hits):
 
 @st.composite
 def alexander_shaped(draw):
-    """Palindromic, nonzero at 0, value 1 at 1; the ends may share a prime."""
+    """Palindromic of degree up to 24, nonzero at 0, value 1 at 1; the ends
+    may share a prime."""
     end = draw(st.integers(min_value=1, max_value=6))
-    inner = draw(st.lists(st.integers(min_value=-5, max_value=5), max_size=9))
+    inner = draw(st.lists(st.integers(min_value=-5, max_value=5), max_size=11))
     half = [end] + inner
     middle = 1 - 2 * sum(half)
     return IntPoly(tuple(half + [middle] + half[::-1]))
 
 
+def _prime_powers_upto(top):
+    return [q for q in range(2, top + 1) if prime_power(q) is not None]
+
+
 @settings(max_examples=80, deadline=None)
-@given(alexander_shaped(), st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
-def test_screen_matches_full_division_solver(delta, q):
-    assert _in_order(murasugi_screen(delta, q)) == full_division_solutions(delta, q)
+@given(alexander_shaped())
+@example(IntPoly((3,) + (0,) * 11 + (-5,) + (0,) * 11 + (3,)))
+def test_screen_matches_full_division_solver(delta):
+    # every q the sweep reaches, 11, 13, 16, 17 and 19 included at degree 24
+    for q in _prime_powers_upto(int(delta.degree) + 1):
+        expected = full_division_solutions(delta, q)
+        assert _in_order(murasugi_screen(delta, q)) == expected, q
 
 
 @pytest.mark.parametrize("delta,q", [
@@ -147,6 +164,25 @@ def test_screen_matches_full_division_solver(delta, q):
 def test_screen_matches_full_division_solver_vectors(delta, q):
     hits = murasugi_screen(delta, q)
     assert _in_order(hits) == full_division_solutions(delta, q)
+
+
+def _genus_le_8():
+    return list(enumerate_candidates(8))
+
+
+def test_screen_all_with_the_records_factorization_matches_without():
+    for cand in _genus_le_8():
+        factored = FactoredPoly(1, 1, candidate_record(cand).factors)
+        assert (murasugi_screen_all(cand.poly, factored)
+                == murasugi_screen_all(cand.poly)), cand.exponents
+
+
+def test_screen_all_is_the_screens_over_ascending_q():
+    for cand in _genus_le_8():
+        top = int(cand.poly.degree) + 1
+        per_q = [h for q in _prime_powers_upto(top)
+                 for h in murasugi_screen(cand.poly, q)]
+        assert murasugi_screen_all(cand.poly) == per_q, cand.exponents
 
 
 # -- torus-knot and paper vectors ------------------------------------------
@@ -238,6 +274,23 @@ def test_verify_hit_rejects_tampered_hits():
     bad_shift = MurasugiHit(q=2, lam=good.lam, quotient=good.quotient,
                             shift=0, sign=1, divides=False)
     assert not any(verify_hit(K14, h) for h in (bad_lam, bad_quo, bad_shift))
+
+
+def test_failed_reverification_raises_under_python_O():
+    # the re-verification must not be an assert statement, which -O strips
+    script = (
+        "import freeperiod.murasugi as m\n"
+        "m.verify_hit = lambda delta, hit: False\n"
+        "try:\n"
+        "    m.murasugi_screen(m.IntPoly((1, -1, 1)), 2)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('an unverified hit was returned')\n")
+    src = str(Path(freeperiod.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 # -- rejections ------------------------------------------------------------

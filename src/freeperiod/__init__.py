@@ -25,6 +25,7 @@ from .hartley import (
     hartley_profile,
     hartley_set,
     is_n_hartley,
+    normalize_alexander,
     power_index,
     profile_from_factors,
     rational_power_index,
@@ -49,7 +50,7 @@ from .murasugi import (
     verify_hit,
 )
 from .zfactor import FactoredPoly, factor_over_z
-from .cli import KnotRecord, ingest_csv, normalize_alexander
+from .cli import KnotRecord, ingest_csv
 
 __all__ = [
     "BoundMode",

@@ -37,6 +37,7 @@ from .hartley import (
     hartley_profile,
     hartley_set,
     is_n_hartley,
+    normalize_alexander,
 )
 from .intpoly import IntPoly, format_poly, parse_poly
 from .lspace import FilterConfig, parallel_map, survey
@@ -56,19 +57,6 @@ class KnotRecord:
     name: str
     alexander: IntPoly
     source: str
-
-
-def normalize_alexander(poly: IntPoly) -> IntPoly:
-    if not poly:
-        raise ValueError("zero polynomial")
-    poly = poly.shift_down(poly.order_at_zero())
-    if poly[0] < 0:
-        poly = -poly
-    if poly(1) not in (1, -1):
-        raise ValueError(f"value at 1 is {poly(1)}, not +-1")
-    if not poly.is_palindromic_up_to_sign():
-        raise ValueError("not palindromic up to sign")
-    return poly
 
 
 def ingest_csv(path: str, strict: bool = False,

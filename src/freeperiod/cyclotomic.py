@@ -66,8 +66,6 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-# the Murasugi sweep asks about the same small q for every polynomial
-@lru_cache(maxsize=256)
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """(p, k) with q = p^k, or None when q is not a prime power.
 

@@ -511,31 +511,28 @@ def _power_sums_monic(coeffs: tuple[int, ...], upto: int) -> list[int]:
 VERIFY_POWER_SUMS = 4_000_000
 
 
-# cyclotomic orders past this are not tried by the closed form; every order
-# of degree phi(j) <= 180 lies below it (phi(j) >= sqrt(j / 2))
-CLOSED_FORM_ORDERS = 65_536
-
-
 def _cyclotomic_rotation_product(g: IntPoly, n: int) -> Optional[IntPoly]:
-    """lc^n * prod_beta (x - beta^n) when g = +-prod Phi_j^(e_j), else None.
+    """lc^n * prod_beta (x - beta^n) when g = +-t^a prod Phi_j^(e_j), else None.
 
     With k = gcd(j, n), the n-th powers of the primitive j-th roots cover
     the primitive (j/k)-th roots phi(j)/phi(j/k) times each, so Phi_j
-    contributes Phi_(j/k)^(phi(j)/phi(j/k)).  No power sums: the cost does
-    not grow with n.  Factors Phi_j are found by trial division in
-    ascending j up to CLOSED_FORM_ORDERS; a g with a leftover gives None.
+    contributes Phi_(j/k)^(phi(j)/phi(j/k)); t contributes t, since its
+    root 0 stays 0.  No power sums: the cost does not grow with n.
     """
-    if g.lc not in (1, -1) or not g.is_palindromic_up_to_sign():
+    fac = factor_over_z(g)
+    if fac.content != 1:
         return None
-    rem, out, j = g * g.lc, IntPoly.constant(g.lc**n), 1
-    while rem.degree > 0 and j <= min(2 * rem.degree**2 + 2, CLOSED_FORM_ORDERS):
-        if euler_phi(j) <= rem.degree:
-            k = math.gcd(j, n)
-            while (quo := rem.try_divide(cyclotomic(j))) is not None:
-                rem = quo
-                out = out * cyclotomic(j // k) ** (euler_phi(j) // euler_phi(j // k))
-        j += 1
-    return out if rem.degree == 0 else None
+    out = IntPoly.constant(fac.sign**n)
+    for f, a in fac.factors:
+        if f == IntPoly.x():
+            out = out * f**a
+            continue
+        j = cyclotomic_tag(f)
+        if j is None:
+            return None
+        k = math.gcd(j, n)
+        out = out * cyclotomic(j // k) ** (a * euler_phi(j) // euler_phi(j // k))
+    return out
 
 
 def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
@@ -548,7 +545,7 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
     e_j of the (lc * beta)^n.  R's coefficient of x^(d-j) is then
     (-1)^j * e_j * lc^n / lc^(nj).  Exact integer arithmetic; raises on the
     impossible case of a non-integral coefficient.  When d * n exceeds
-    VERIFY_POWER_SUMS, a g whose factors are all cyclotomic takes the closed
+    VERIFY_POWER_SUMS, a product of t and cyclotomic factors takes the closed
     form of _cyclotomic_rotation_product and any other g raises ValueError.
     """
     if not g:
@@ -671,22 +668,33 @@ class KnotCheckReport:
     witness_palindromic: Optional[bool]
 
 
+def normalize_alexander(poly: IntPoly) -> IntPoly:
+    """The Alexander normal form of poly: the t^k unit stripped and the
+    constant term positive.  Raises ValueError unless the value at 1 is
+    +-1 and the result is palindromic up to sign."""
+    if not poly:
+        raise ValueError("zero polynomial")
+    poly = poly.shift_down(poly.order_at_zero())
+    if poly[0] < 0:
+        poly = -poly
+    if poly(1) not in (1, -1):
+        raise ValueError(f"value at 1 is {poly(1)}, not +-1")
+    if not poly.is_palindromic_up_to_sign():
+        raise ValueError("not palindromic up to sign")
+    return poly
+
+
 def hartley_knot_check(
     delta: IntPoly, n: int, mode: BoundMode = BoundMode.HEURISTIC
 ) -> KnotCheckReport:
     """Check the factorization condition for a knot-shaped polynomial.
 
-    Preconditions: delta(1) = +-1, palindromic up to sign, delta(0) != 0;
-    the constant term is normalized positive first.
+    Preconditions: delta(0) != 0, so a power of t is refused rather than
+    stripped, then those of normalize_alexander, which fixes the sign.
     """
     if not delta or delta[0] == 0:
         raise ValueError("Alexander polynomials have nonzero constant term")
-    if delta(1) not in (1, -1):
-        raise ValueError("not Alexander-normalizable: |delta(1)| != 1")
-    if not delta.is_palindromic_up_to_sign():
-        raise ValueError("not Alexander-normalizable: not palindromic up to sign")
-    if delta[0] < 0:
-        delta = -delta
+    delta = normalize_alexander(delta)
     profile = hartley_profile(delta, mode)
     if not is_n_hartley(profile, n):
         return KnotCheckReport(delta, n, False, None, None, None)

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly
-from .modpoly import is_prime
+from .modpoly import gfp_eval, is_prime
 from .murasugi import MurasugiHit, murasugi_screen_all
 from .zfactor import FactoredPoly, factor_over_z
 
@@ -162,10 +162,7 @@ def _factor_candidate(poly: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     for phim, q, z in _cyclo_trials(int(poly.degree)):
         if phim.degree > rem.degree:
             continue
-        val = 0
-        for c in reversed(tuple(rem)):
-            val = (val * z + c) % q
-        if val:
+        if gfp_eval(rem.coeffs, z, q):
             continue
         while True:
             quo = rem.try_divide(phim)

@@ -235,7 +235,6 @@ def test_mode_flag_only_where_a_bound_is_computed(runner):
 # -- large integers --------------------------------------------------------
 
 M61 = str(2**61 - 1)  # a prime: trial division would never finish
-# t is not cyclotomic, so its witness t * (t^2 - t + 1) has no closed form
 T_TREFOIL = "t^3 - t^2 + t"
 
 
@@ -243,9 +242,10 @@ T_TREFOIL = "t^3 - t^2 + t"
     (["hartley-check", "--poly", FIG8, "--n", M61], 0, f"n = {M61}: no\n"),
     (["hartley-check", "--poly", TREFOIL, "--n", M61], 0,
      f"n = {M61}: yes, witness t^2 - t + 1, sign +1\n"),
-    (["witness", "--poly", T_TREFOIL, "--n", M61], 1, "witness verification"),
-    (["witness", "--poly", T_TREFOIL, "--n", "100000007"], 1,
-     "witness verification"),
+    (["witness", "--poly", T_TREFOIL, "--n", M61], 0,
+     f"n = {M61}: witness t^3 - t^2 + t, sign +1, verified True\n"),
+    (["witness", "--poly", T_TREFOIL, "--n", "100000007"], 0,
+     "n = 100000007: witness t^3 - t^2 + t, sign +1, verified True\n"),
     (["murasugi", "--poly", FIG8, "--q", M61], 0,
      "no hits (screen obstructs the period)\n"),
     (["evalue", "--poly", f"t - {M61}"], 0, "E = 1, set {}\n"),
@@ -253,6 +253,8 @@ T_TREFOIL = "t^3 - t^2 + t"
      f"n = {M61}: witness t^2 - t + 1, sign +1, verified True\n"),
     (["witness", "--poly", TREFOIL, "--n", "100000007"], 0,
      "n = 100000007: witness t^2 - t + 1, sign +1, verified True\n"),
+    (["hartley-check", "--poly", T_TREFOIL, "--n", M61], 0,
+     f"n = {M61}: yes, witness t^3 - t^2 + t, sign +1\n"),
 ])
 def test_large_integer_inputs_end_promptly(runner, args, code, out):
     start = time.monotonic()

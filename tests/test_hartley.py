@@ -19,6 +19,7 @@ from freeperiod import (
     hartley_profile,
     hartley_set,
     is_n_hartley,
+    normalize_alexander,
     parse_poly,
     power_index,
     prime_bound,
@@ -460,8 +461,24 @@ def test_cyclotomic_closed_form_equals_power_sums(j):
             assert _cyclotomic_rotation_product(g, n) == rotation_product_deflated(g, n)
 
 
+T = IntPoly.x()
+
+
+@pytest.mark.parametrize("g", [
+    IntPoly((0, 1, -1, 1)),
+    -(T**2) * cyclotomic(1) * cyclotomic(10) ** 2,
+    T**3,
+    T * cyclotomic(2) * cyclotomic(12),
+])
+def test_closed_form_with_powers_of_t_equals_power_sums(g):
+    # the root 0 of t stays 0 under the n-th power, so t^a contributes x^a
+    for n in range(2, 13):
+        assert _cyclotomic_rotation_product(g, n) == rotation_product_deflated(g, n)
+
+
 def test_closed_form_only_for_cyclotomic_products():
-    for g in (GOLDEN, IntPoly((0, 1, -1, 1)), 2 * cyclotomic(6), FIG8 * cyclotomic(7)):
+    for g in (GOLDEN, 2 * cyclotomic(6), 3 * cyclotomic(6), FIG8 * cyclotomic(7),
+              T * parse_poly("t^2 - 3t + 1")):
         assert _cyclotomic_rotation_product(g, 5) is None
 
 
@@ -587,3 +604,29 @@ def test_knot_check_precondition_failures():
         hartley_knot_check(parse_poly("t^2+2t+1"), 2)  # value 4 at 1
     with pytest.raises(ValueError):
         hartley_knot_check(IntPoly((0, 1, 1)), 2)  # vanishes at 0
+
+
+def _knot_shaped(cs, alexander, unit, sign, k):
+    # alexander: mirror cs and set the middle coefficient so the value at 1
+    # is unit, which the normaliser accepts whenever cs[0] != 0
+    if alexander:
+        cs = cs[:-1] + [unit - 2 * sum(cs[:-1])] + cs[-2::-1]
+    return IntPoly.monomial(k, sign) * IntPoly(tuple(cs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(_knot_shaped,
+                 st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
+                 st.booleans(), st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+                 st.integers(min_value=0, max_value=2)),
+       st.integers(min_value=2, max_value=4))
+def test_knot_check_refuses_exactly_what_the_normaliser_refuses(delta, n):
+    try:
+        want = normalize_alexander(delta)
+    except ValueError:
+        want = None
+    if want is None or delta[0] == 0:
+        with pytest.raises(ValueError):
+            hartley_knot_check(delta, n)
+    else:
+        assert hartley_knot_check(delta, n).delta == want

@@ -18,7 +18,9 @@ the quadratic-character test has_nonsquare_factor take (p^k - 1)/2 powers
 from the same matrix, as products of Frobenius images of a (p - 1)/2
 power, so the equal-degree split (factor_squarefree_mod_p) needs an odd
 p.  It is randomized but seeded from a hash of the input, so
-factorizations are reproducible.
+factorizations are reproducible.  gf2_degree_pattern works over F_2 on
+its own representation, one Python int per polynomial; zfactor uses it
+as a sieve only.
 """
 
 from __future__ import annotations
@@ -349,6 +351,68 @@ def ddf_degree_multiset(f: list[int], p: int) -> list[int]:
     for prod, d in distinct_degree_split(gfp_monic(f, p), p):
         out.extend([d] * ((len(prod) - 1) // d))
     return sorted(out)
+
+
+def _gf2_mod(a: int, b: int) -> int:
+    db = b.bit_length()
+    while (n := a.bit_length()) >= db:
+        a ^= b << (n - db)
+    return a
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_mod(a, b)
+    return a
+
+
+def _gf2_div(a: int, b: int) -> int:
+    """Exact quotient a / b in F_2[x]."""
+    q = 0
+    db = b.bit_length()
+    while (n := a.bit_length()) >= db:
+        q |= 1 << (n - db)
+        a ^= b << (n - db)
+    return q
+
+
+def gf2_degree_pattern(coeffs) -> list[int] | None:
+    """Sorted degrees of the irreducible factors of f mod 2, or None when
+    f mod 2 has lower degree than f or is not squarefree.
+
+    F_2[x] packs into Python ints, bit i the coefficient of x^i: sums are
+    xors, remainders and gcds are xor-shifts, and the Frobenius map
+    h -> h^2 moves bit i to bit 2i, which reading h's binary digits in
+    base 4 does.  The distinct-degree split is distinct_degree_split's,
+    one squaring per degree.  Integer factors of f keep their degrees
+    mod 2 when lc(f) is odd, so the pattern sieves factor degrees over Z
+    as an odd prime's does; it cannot split equal degrees, so p = 2
+    never serves Zassenhaus.
+    """
+    n = len(coeffs) - 1
+    v = 0
+    for i, c in enumerate(coeffs):
+        if c & 1:
+            v |= 1 << i
+    if n < 0 or v.bit_length() != n + 1:
+        return None
+    # f' mod 2 keeps the odd-degree terms, each moved down by one
+    if _gf2_gcd(v, (v >> 1) & ((1 << ((n + 2) & ~1)) - 1) // 3) != 1:
+        return None
+    out: list[int] = []
+    h = 2  # x
+    d = 0
+    while v.bit_length() - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gf2_mod(int(format(h, "b"), 4), v)
+        g = _gf2_gcd(v, h ^ 2)
+        if g != 1:
+            out.extend([d] * ((g.bit_length() - 1) // d))
+            v = _gf2_div(v, g)
+            h = _gf2_mod(h, v)
+    if v.bit_length() > 1:
+        out.append(v.bit_length() - 1)
+    return out
 
 
 def _edf(u: list[int], d: int, p: int, q: np.ndarray | None,

@@ -1,12 +1,12 @@
 """Complete factorization in Z[t]: Yun splitting, Hensel lifting, Zassenhaus.
 
-The pipeline for one squarefree primitive part: probe a few odd primes that
-keep the input squarefree, intersect the mod-p factor-degree subset sums to
-rule out impossible factor degrees (often proving irreducibility outright),
-lift the best prime's factorization to above twice the Mignotte bound, and
-recombine subsets smallest-first with exact division checks.  Everything is
-deterministic: probe primes ascend from 3, equal-degree splitting is seeded
-from the input, subsets enumerate in sorted index order.
+The pipeline for one squarefree primitive part: sieve the possible factor
+degrees with the mod-p factor-degree subset sums at a few primes (often
+proving irreducibility outright), lift the best odd prime's factorization
+to above twice the Mignotte bound, and recombine subsets smallest-first
+with exact division checks.  Everything is deterministic: the probe order
+is fixed, equal-degree splitting is seeded from the input, subsets
+enumerate in sorted index order.
 
 A palindromic f of even degree 2m (every survey candidate, every factor of
 one and every inflation f(t^k) of such a factor) is probed at half the
@@ -14,16 +14,39 @@ degree, through its trace polynomial h with f = t^m h(t + 1/t)
 (intpoly.trace_reduce; Boyd, Math. Comp. 35, 1980).  When h is irreducible
 with root y, the roots of f are those of t^2 - y t + 1 over Q(y), so f is
 irreducible exactly when x^2 - 4 is a non-square in Q[x]/(h), and
-otherwise f = c g g* with deg g = m and g* the reciprocal of g.  The probe
-primes are those keeping f squarefree: p does not divide lc(h) or
-h(2) h(-2), and h mod p is squarefree.  One loop sieves h and looks for a
-non-square: free when the norm h(2) h(-2) / lc(h)^2 of x^2 - 4 is not a
-rational square, else proved by an irreducible factor of h mod p modulo
-which x^2 - 4 is a non-square (modpoly.has_nonsquare_factor; at a prime
-dividing h(2) h(-2) the factor x -+ 2 would read as one).  When h splits,
-Zassenhaus factors h, and each factor's lift t^(m_i) h_i(t + 1/t) is
-factored the same way; when x^2 - 4 may be a square, Zassenhaus runs on f
-looking only for a degree-m factor.
+otherwise f = c g g* with deg g = m and g* the reciprocal of g.  When h
+splits, Zassenhaus factors h, and each factor's lift t^(m_i) h_i(t + 1/t)
+is factored the same way; when x^2 - 4 may be a square, Zassenhaus runs
+on f looking only for a degree-m factor.
+
+The probes of h (or of f off the trace path) run cheapest first:
+
+1. GF(2) (modpoly.gf2_degree_pattern, bit-packed).  When lc(h) is odd
+   and h mod 2 is squarefree, an integer factor of h reduces to a product
+   of mod-2 factors of the same degree, so the subset sums of the mod-2
+   degrees bound the factor degrees as any good prime's do (von zur
+   Gathen and Gerhard, Modern Computer Algebra, ch. 14-15).  p = 2 only
+   sieves: equal-degree splitting needs an odd prime, so it never becomes
+   Zassenhaus's prime.
+2. The non-square of x^2 - 4 is free when its norm h(2) h(-2) / lc(h)^2
+   is not a rational square.  Otherwise look for a simple root y of h
+   modulo an odd prime q <= 23, q not dividing lc(h), with y^2 - 4 a
+   non-residue mod q.  Sound for irreducible h: x is integral at q, and
+   a simple root is a regular prime of degree 1 of Z[x]/(h) with residue
+   map x -> y, so x^2 - 4 = s^2 in Q[x]/(h) would force
+   y^2 - 4 = s(y)^2 mod q.
+3. Odd primes keeping f squarefree: p does not divide lc(h) or
+   h(2) h(-2), and h mod p is squarefree.  Each sieves the degrees, and
+   while no non-square has turned up, an irreducible factor of h mod p
+   modulo which x^2 - 4 is a non-square proves one
+   (modpoly.has_nonsquare_factor; at a prime dividing h(2) h(-2) the
+   factor x -+ 2 would read as one).
+
+factor_over_z skips Yun's decomposition when GF(2) already certifies the
+primitive part squarefree: it is squarefree mod 2 with odd lc, or it is
+palindromic with h squarefree mod 2, odd lc and h(2) h(-2) != 0 (the
+roots of f are then two distinct x, 1/x for each of the distinct roots
+y != +-2 of h).
 
 All modular arithmetic is modpoly's: the probes, gcds and the mod-p
 factorization need a prime modulus, while Hensel lifting and recombination
@@ -43,9 +66,11 @@ from .intpoly import IntPoly, content_primitive, trace_lift, trace_reduce
 from .modpoly import (
     ddf_degree_multiset,
     factor_squarefree_mod_p,
+    gf2_degree_pattern,
     gfp_add,
     gfp_deriv,
     gfp_divmod,
+    gfp_eval,
     gfp_extgcd,
     gfp_gcd,
     gfp_monic,
@@ -60,6 +85,8 @@ from .modpoly import (
 _SUBSET_CAP = 1 << 20
 _PROBE_COUNT = 3
 _EXTRA_PROBES = 5
+# the primes of the root test _root_character
+_ROOT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 # factor_over_z memo size: one query chain (profile, E certification,
 # witness, Murasugi divides flags) revisits Delta and the inflations f(t^k)
 # of its factors, far fewer polynomials than this; the bound keeps a long
@@ -292,47 +319,111 @@ def _sym(x: int, m: int) -> int:
     return r - m if r > m // 2 else r
 
 
-def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
+def _sieve_inputs(f: IntPoly) -> tuple[IntPoly | None, list[int] | None]:
+    """f's trace polynomial h (None when f is not on the trace path) and
+    the GF(2) degree pattern of what the probes sieve, h or f itself."""
+    h = trace_reduce(f)
+    return h, gf2_degree_pattern((f if h is None else h).coeffs)
+
+
+def _root_character(h: IntPoly) -> tuple[bool, int]:
+    """Look for a simple root y of h modulo an odd prime q in _ROOT_PRIMES,
+    q not dividing lc(h), with y^2 - 4 a non-residue mod q.
+
+    Returns (True, _) at the first such root, which proves x^2 - 4 a
+    non-square in Q[x]/(h) for irreducible h: a simple root is a regular
+    prime of degree 1 of Z[x]/(h), with residue map x -> y, and x is
+    integral there, so x^2 - 4 = s^2 would give y^2 - 4 = s(y)^2 mod q.
+    Otherwise returns (False, k), k the number of simple roots seen, each
+    with y^2 - 4 a nonzero square.
+    """
+    dh = h.derivative()
+    squares = 0
+    for q in _ROOT_PRIMES:
+        if h.lc % q == 0:
+            continue
+        hq = reduce_mod_p(h.coeffs, q)
+        dq = reduce_mod_p(dh.coeffs, q)
+        for y in range(q):
+            if gfp_eval(hq, y, q) or not gfp_eval(dq, y, q):
+                continue
+            c = (y * y - 4) % q
+            if c and pow(c, (q - 1) // 2, q) != 1:
+                return True, squares
+            if c:
+                squares += 1
+    return False, squares
+
+
+def _factor_squarefree(
+    f: IntPoly, sieve: tuple[IntPoly | None, list[int] | None] | None = None
+) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree positive-lc polynomial.
 
-    Probes _PROBE_COUNT good primes, then up to _EXTRA_PROBES more while the
-    sparsest pattern seen still leaves more than _SUBSET_CAP subsets to
-    recombine; the first prime with the fewest modular factors is lifted.
-    A palindromic f of degree 2m is probed through its trace polynomial
-    h (f = t^m h(t + 1/t), degree m; see the module docstring), and once
-    h is proved irreducible the loop goes on to the last extra probe while
-    no non-square has turned up, since each further character test costs
-    less than Zassenhaus on f.
+    sieve is _sieve_inputs(f) when the caller has it already.  A
+    palindromic f of degree 2m is probed through its trace polynomial
+    h (f = t^m h(t + 1/t), degree m; see the module docstring), any other
+    f through itself.  The probes run in order of cost:
+
+    1. The GF(2) degree pattern (modpoly.gf2_degree_pattern) of what is
+       probed, when that stays squarefree of the same degree mod 2.
+       Integer factors keep their degrees mod 2, so its subset sums sieve
+       the factor degrees like any good prime's; p = 2 is sieve-only, as
+       equal-degree splitting needs an odd prime.
+    2. When the norm h(2) h(-2) of x^2 - 4 is a square, the root test
+       _root_character: a simple root y of h mod a small prime with
+       y^2 - 4 a non-residue proves x^2 - 4 a non-square modulo an
+       irreducible h.
+    3. Odd good primes: _PROBE_COUNT of them, then up to _EXTRA_PROBES
+       more while the sparsest pattern seen still leaves more than
+       _SUBSET_CAP subsets to recombine; the first prime with the fewest
+       modular factors is lifted.  While a non-square is still wanted,
+       each also tries the character test modpoly.has_nonsquare_factor.
+
+    Once h is proved irreducible and x^2 - 4 a non-square, f is
+    irreducible.  While h is irreducible and no non-square has turned up,
+    the loop goes on to the last extra probe, since each further
+    character test costs less than Zassenhaus on f; but when the root
+    test saw at least three simple roots and y^2 - 4 was a square at each,
+    f is most likely c g g*, and the loop stops at _PROBE_COUNT.
     """
     if f.degree <= 1:
         return [f] if f.degree == 1 else []
-    h = trace_reduce(f)
+    h, pattern = sieve or _sieve_inputs(f)
     g = f if h is None else h  # what the probes sieve
     # h(2) h(-2) / lc(h)^2 is the norm of x^2 - 4 from Q[x]/(h), a square
     # when x^2 - 4 is one; the primes dividing it are where f mod p has a
     # repeated root +-1 and x -+ 2 divides h mod p, so they are skipped
     norm = 1 if h is None else h(2) * h(-2)
     nonsquare = h is None or norm < 0 or math.isqrt(norm) ** 2 != norm
-    irreducible = False
-    probes: list[tuple[int, list[int]]] = []  # (prime, degree multiset)
+    likely_square = False
+    if not nonsquare:
+        nonsquare, roots = _root_character(h)
+        likely_square = roots >= 3
     possible = (1 << (g.degree + 1)) - 1
     trivial = 1 | (1 << g.degree)
+    if pattern is not None:
+        possible &= _subset_degrees(pattern)
+    irreducible = not possible & ~trivial
+    if irreducible and nonsquare:
+        return [f]
+    probes: list[tuple[int, list[int]]] = []  # (prime, degree multiset)
     for p in _good_primes(g):
         if norm % p == 0:
             continue
         gb = reduce_mod_p(g.coeffs, p)
         degs = ddf_degree_multiset(gb, p)
         possible &= _subset_degrees(degs)
-        irreducible = irreducible or len(degs) == 1 or not possible & ~trivial
+        irreducible = not possible & ~trivial
         if not nonsquare:
             nonsquare = has_nonsquare_factor(reduce_mod_p((-4, 0, 1), p), gfp_monic(gb, p), p)
         if irreducible and nonsquare:
             return [f]
         probes.append((p, degs))
         best_p, best_degs = min(probes, key=lambda pr: len(pr[1]))
-        if len(probes) == _PROBE_COUNT + _EXTRA_PROBES or (
-                len(probes) >= _PROBE_COUNT and not irreducible
-                and _combo_budget(len(best_degs)) <= _SUBSET_CAP):
+        if len(probes) == _PROBE_COUNT + _EXTRA_PROBES or len(probes) >= _PROBE_COUNT and (
+                likely_square if irreducible
+                else _combo_budget(len(best_degs)) <= _SUBSET_CAP):
             break
     if h is None:
         return _zassenhaus(f, best_p, possible)
@@ -401,7 +492,8 @@ def factor_over_z(f: IntPoly) -> FactoredPoly:
     """Complete irreducible factorization over Z.
 
     Content and sign come out first, then any power of t, then Yun parts
-    feed the Zassenhaus engine.  Factors are primitive, positive-lc,
+    feed the Zassenhaus engine; Yun is skipped when GF(2) certifies the
+    rest squarefree (see the module docstring).  Factors are primitive, positive-lc,
     pairwise distinct, sorted by (degree, coefficients).  Memoized: the
     profile, the E certification, the witness and the Murasugi divides
     flags all ask about the same Delta and the same inflations, and the
@@ -415,8 +507,16 @@ def factor_over_z(f: IntPoly) -> FactoredPoly:
     if k:
         pp = pp.shift_down(k)
         bag[IntPoly.x()] = k
-    for part, mult in squarefree_decompose(pp):
-        for g in _factor_squarefree(part):
+    h, pattern = _sieve_inputs(pp)
+    if pattern is not None and (h is None or h(2) * h(-2)):
+        # squarefree mod 2 at full degree, so squarefree: no Yun
+        parts = [(pp, 1)]
+        sieve = (h, pattern)
+    else:
+        parts = squarefree_decompose(pp)
+        sieve = None
+    for part, mult in parts:
+        for g in _factor_squarefree(part, sieve):
             bag[g] = bag.get(g, 0) + mult
     factors = tuple(sorted(bag.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
     return FactoredPoly(sign, content, factors)

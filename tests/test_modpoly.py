@@ -22,6 +22,7 @@ from freeperiod.modpoly import (
     gfp_mul,
     gfp_powmod,
     gfp_sub,
+    gf2_degree_pattern,
     has_nonsquare_factor,
     is_prime,
     next_prime,
@@ -372,3 +373,53 @@ def test_kernels_at_prime_powers_match_integer_schoolbook(m, data):
     assert len(r) < len(v)
     assert q == reduce_mod_p(q, m) and r == reduce_mod_p(r, m)
     assert reference_add(reference_mul(q, v, m), r, m) == reduce_mod_p(a, m)
+
+
+def _sympy_mod2_pattern(coeffs):
+    """Factor degrees of coeffs mod 2 from sympy, or None when the reduction
+    loses degree or has a repeated factor."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    if not coeffs or coeffs[-1] % 2 == 0:
+        return None
+    expr = sum(c % 2 * x**i for i, c in enumerate(coeffs))
+    _, parts = sympy.factor_list(expr, x, modulus=2)
+    if any(mult > 1 for _, mult in parts):
+        return None
+    return sorted(sympy.degree(u, x) for u, _ in parts)
+
+
+# sympy's own factor sort compares residues mod 2, which it deprecates
+sympy_mod2 = pytest.mark.filterwarnings(r"ignore:\s*Ordered comparisons with modular integers")
+
+
+@sympy_mod2
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=30))
+def test_gf2_degree_pattern_matches_sympy(coeffs):
+    assert gf2_degree_pattern(coeffs) == _sympy_mod2_pattern(coeffs)
+
+
+@sympy_mod2
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=6)
+                .map(lambda c: c[:-1] + [1]), min_size=1, max_size=4))
+def test_gf2_degree_pattern_is_none_exactly_on_repeated_factors(factors):
+    # a product of mod-2 polynomials of full degree: None exactly when two
+    # of its irreducible factors coincide
+    prod = [1]
+    for u in factors:
+        prod = gfp_mul(prod, u, 2)
+    expected = _sympy_mod2_pattern(prod)
+    assert gf2_degree_pattern(prod) == expected
+    if len(factors) > 1 and factors[0] == factors[1]:
+        assert expected is None
+
+
+def test_gf2_degree_pattern_known():
+    assert gf2_degree_pattern([1, 1, 0, 0, 1]) == [4]  # x^4 + x + 1
+    assert gf2_degree_pattern([0, 1, 1]) == [1, 1]  # x (x + 1)
+    assert gf2_degree_pattern([3]) == []
+    assert gf2_degree_pattern([1, 0, 1]) is None  # (x + 1)^2
+    assert gf2_degree_pattern([1, 3, 2]) is None  # drops to degree 1
+    assert gf2_degree_pattern([]) is None

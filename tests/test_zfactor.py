@@ -17,7 +17,7 @@ from freeperiod.cyclotomic import cyclotomic, divisors
 from freeperiod.intpoly import trace_lift, trace_reduce
 from freeperiod.modpoly import gfp_monic, has_nonsquare_factor, reduce_mod_p
 from freeperiod.zfactor import _pseudo_rem, degree_set_filter, gcd_z, squarefree_decompose
-from polys import K14
+from polys import FIG8, GOLDEN, K14
 
 small_polys = st.builds(
     lambda cs: IntPoly(tuple(cs)),
@@ -199,11 +199,16 @@ def test_probe_loop_stops_at_three_when_recombination_is_cheap(monkeypatch):
 
 def test_trace_path_probes_the_trace_polynomial_of_k14(monkeypatch):
     # K14 = -g g* with g = t^3 - 3t^2 + 5t - 4: its trace polynomial h is an
-    # irreducible cubic and x^2 - 4 is a square modulo h, so no character
-    # test succeeds and the loop runs all eight probes of h before
-    # Zassenhaus splits K14 itself; 13 divides h(2) h(-2) and is skipped
+    # irreducible cubic and x^2 - 4 is a square modulo h, so no root or
+    # character test succeeds.  lc(h) = 4 is even, so GF(2) does not sieve;
+    # the root test sees at least three simple roots with y^2 - 4 a square,
+    # so the loop stops after three odd probes of h and Zassenhaus splits
+    # K14 itself
+    h = trace_reduce(K14)
+    assert zfactor._root_character(h)[0] is False
+    assert zfactor._root_character(h)[1] >= 3
     fac, probed = _probe_primes(monkeypatch, K14)
-    assert len(fac.factors) == 2 and probed == [3, 5, 7, 11, 17, 19, 23, 29]
+    assert len(fac.factors) == 2 and probed == [3, 5, 7]
 
 
 def test_k14_character_test_skips_primes_dividing_the_norm(monkeypatch):
@@ -231,6 +236,79 @@ def test_probe_loop_hunts_five_more_for_a_sparser_pattern(monkeypatch):
     fac, probed = _probe_primes(monkeypatch, f)
     assert dict(fac.factors) == {IntPoly((-i, 1)): 1 for i in range(1, 23)}
     assert probed == [23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6)
+       .filter(lambda c: c[0] and c[-1]))
+def test_root_test_never_fires_on_a_true_square(coeffs):
+    # roots alpha, 1/alpha of g g* give y = alpha + 1/alpha and
+    # y^2 - 4 = (alpha - 1/alpha)^2, so x^2 - 4 is a square modulo h
+    g = IntPoly(tuple(coeffs))
+    h = trace_reduce(g * IntPoly(g.coeffs[::-1]))
+    assert zfactor._root_character(h)[0] is False
+
+
+def test_root_test_fires_on_irreducible_trace_polynomials(monkeypatch):
+    # FIG8: h = x - 3, y = 3 and y^2 - 4 = 5 is a non-residue mod 3
+    assert zfactor._root_character(trace_reduce(FIG8))[0] is True
+    # a genus-5 candidate with h = x^5 - 5x^3 + 4x + 1: the norm
+    # h(2) h(-2) = 1 is a square, h mod 2 is irreducible and a root y
+    # with y^2 - 4 a non-residue settles the rest, so no odd prime is probed
+    f = IntPoly((1, 0, 0, 0, -1, 1, -1, 0, 0, 0, 1))
+    h = trace_reduce(f)
+    assert h == IntPoly((1, 4, 0, -5, 0, 1)) and h(2) * h(-2) == 1
+    assert zfactor._root_character(h)[0] is True
+    fac, probed = _probe_primes(monkeypatch, f)
+    assert fac.factors == ((f, 1),) and probed == []
+
+
+@pytest.mark.parametrize("f", [
+    # odd lc and squarefree mod 2 (pattern [2, 3]), so GF(2) sieves but
+    # cannot settle them; K14 has even lc and is probed at odd primes only
+    IntPoly((1, 1, 1)) * IntPoly((-1, 1, 0, 1)),
+    GOLDEN * IntPoly((-3, 1, 0, 1)),
+    K14,
+])
+def test_zassenhaus_never_lifts_at_two(monkeypatch, f):
+    lifted = []
+    real = zfactor._zassenhaus
+    monkeypatch.setattr(zfactor, "_zassenhaus",
+                        lambda g, p, possible: lifted.append(p) or real(g, p, possible))
+    fac = factor_over_z(f)
+    assert fac.expand() == f and len(fac.factors) > 1
+    assert lifted and 2 not in lifted
+
+
+def _yun_calls(monkeypatch, f):
+    seen = []
+    real = zfactor.squarefree_decompose
+    monkeypatch.setattr(zfactor, "squarefree_decompose",
+                        lambda g: seen.append(g) or real(g))
+    return factor_over_z(f), seen
+
+
+@pytest.mark.parametrize("f, factors", [
+    (FIG8**2, {FIG8: 2}),
+    # palindromic, odd lc and h squarefree mod 2, but h(2) = 0
+    (IntPoly((-1, 1))**2 * FIG8, {IntPoly((-1, 1)): 2, FIG8: 1}),
+    (IntPoly((1, 1))**2 * FIG8, {IntPoly((1, 1)): 2, FIG8: 1}),
+])
+def test_yun_runs_unless_gf2_certifies_squarefree(monkeypatch, f, factors):
+    fac, seen = _yun_calls(monkeypatch, f)
+    assert seen == [f] and dict(fac.factors) == factors
+
+
+@pytest.mark.parametrize("f", [
+    GOLDEN,  # not palindromic, squarefree mod 2 with odd lc
+    FIG8,  # palindromic, h = x - 3
+    # h = x (x - 3) is squarefree mod 2 and h(2) h(-2) = -20, while
+    # f = (t^2 + 1)(t^2 - 3t + 1) has the square (t + 1)^2 mod 2
+    FIG8 * IntPoly((1, 0, 1)),
+])
+def test_yun_is_skipped_when_gf2_certifies_squarefree(monkeypatch, f):
+    fac, seen = _yun_calls(monkeypatch, f)
+    assert seen == [] and fac.expand() == f
 
 
 def test_query_chain_factors_delta_once(monkeypatch):

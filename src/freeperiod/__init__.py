@@ -42,7 +42,7 @@ from .lspace import (
     enumerate_candidates,
     survey,
 )
-from .mahler import BoundMode, m_min_log2, prime_bound, voutier_log2_lb
+from .mahler import BoundMode, prime_bound
 from .murasugi import (
     MurasugiHit,
     murasugi_screen,
@@ -80,7 +80,6 @@ __all__ = [
     "hartley_set",
     "ingest_csv",
     "is_n_hartley",
-    "m_min_log2",
     "murasugi_screen",
     "murasugi_screen_all",
     "normalize_alexander",
@@ -95,7 +94,6 @@ __all__ = [
     "survey",
     "verify_hit",
     "verify_witness",
-    "voutier_log2_lb",
 ]
 
 __version__ = "0.1.0"

@@ -68,7 +68,7 @@ def ingest_csv(path: str, strict: bool = False,
     supplied.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     with fh:

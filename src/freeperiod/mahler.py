@@ -10,19 +10,18 @@ upper bound on alpha's measure or house into an upper bound on E.  This
 module owns those constants and the resulting prime bound.
 
 Two modes:
-  RIGOROUS   the least of three sound bounds.
-             (1) Measure gap: E <= log2 M(alpha) / log2 m_d, with m_d the
-                 minimal measure at degree d: an exhaustively computed
-                 table for d <= 6 (see scripts/gen_mahler_table.py for the
-                 search and its completeness argument), Voutier's
-                 unconditional (1/4)(loglog d/log d)^3 above.
-             (2) Monic f: alpha is an algebraic integer, so theta (a root
+  RIGOROUS   sound bounds, on the primitive minimal polynomial f of alpha.
+             (1) Monic f: alpha is an algebraic integer, so theta (a root
                  of t^E - alpha) is one too, and Dimitrov's theorem
                  (Schinzel-Zassenhaus, arXiv:1912.12545) gives
                  house(theta) >= 2^(1/(4d)), so E <= 4d log2 house(alpha).
-             (3) Non-monic f: alpha is not integral, so neither is theta;
+             (2) Non-monic f: alpha is not integral, so neither is theta;
                  the primitive minimal polynomial of theta then has
                  |lc| >= 2, so M(theta) >= 2 and E <= log2 M(alpha).
+             (3) Measure gap at d <= 6: E <= log2 M(alpha) / log2 m_d, with
+                 m_d the minimal measure at degree d, an exhaustively
+                 computed table (see scripts/gen_mahler_table.py for the
+                 search and its completeness argument).
   HEURISTIC  assumes no measure below 1.17628 (the smallest known, degree
              10, open whether minimal).  Reports built on it must carry a
              non-rigorous flag.
@@ -32,9 +31,8 @@ the measure, so dividing an exact rational upper bound on log2 M(alpha) by
 them can only overestimate E.  The upper bound is intpoly.log_mahler_upper:
 Landau's M(g) <= ||g||_2 on the Graeffe iterates g = G^k f, where
 M(G^k f) = M(f)^(2^k), all in exact integer arithmetic.  The house bound
-reads Fujiwara's root bound off the same iterates, also in integers.
-Voutier's constant is the only float left in a bound; it is shrunk by a
-relative margin before use.
+reads Fujiwara's root bound off the same iterates, also in integers, so no
+float touches a bound.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cyclotomic import cyclotomic_tag
-from .intpoly import IntPoly, graeffe_iterates, log_mahler_upper
+from .intpoly import IntPoly, content_primitive, graeffe_iterates, log_mahler_upper
 
 
 class BoundMode(Enum):
@@ -54,9 +52,6 @@ class BoundMode(Enum):
 
 # log2(1.17628) rounded down; tests recheck 2^1171 <= 1.17628^5000 exactly.
 LEHMER_LOG2_LB = Fraction(1171, 5000)
-
-# rational upper bound on ln 2, used when converting Voutier's bound to base 2
-_LN2_UB = Fraction(693148, 1000000)
 
 # Frozen output of scripts/gen_mahler_table.py: for each degree d, a lower
 # bound on log2 of the minimal Mahler measure among degree-d irreducible
@@ -78,37 +73,6 @@ MIN_MEASURE_WITNESS: dict[int, tuple[int, ...]] = {
     5: (1, -1, 1, 0, -1, 1),
     6: (-1, 0, 0, 0, 1, 0, 1),
 }
-
-
-def voutier_log2_lb(d: int) -> Fraction:
-    """Rational lower bound on log2 M for degree-d non-cyclotomic numbers.
-
-    Voutier: log M >= (1/4) (loglog d / log d)^3 for d >= 2; the value is
-    positive from d = 3 on.  Float evaluation shrunk by a relative margin
-    and converted with an upper bound on ln 2, so the result stays a true
-    lower bound.
-    """
-    if d < 3:
-        return Fraction(0)
-    v = 0.25 * (math.log(math.log(d)) / math.log(d)) ** 3
-    if v <= 0:
-        return Fraction(0)
-    return Fraction(v) * Fraction(999999, 1000000) / _LN2_UB
-
-
-def m_min_log2(d: int, mode: BoundMode) -> Fraction:
-    """Lower bound on log2 of the minimal measure at degree d, per mode."""
-    if d < 2:
-        raise ValueError("degree must be at least 2")
-    if mode is BoundMode.HEURISTIC:
-        return LEHMER_LOG2_LB
-    if d in MIN_LOG2_TABLE:
-        # Voutier's bound lies below the table at every tabulated degree
-        return MIN_LOG2_TABLE[d]
-    v = voutier_log2_lb(d)
-    if v <= 0:
-        raise ValueError(f"no positive rigorous bound at degree {d}")
-    return v
 
 
 def house_bound(iterates: list[IntPoly]) -> int:
@@ -133,27 +97,31 @@ def house_bound(iterates: list[IntPoly]) -> int:
 def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     """B with E(root of f) <= B, for irreducible non-cyclotomic f, deg >= 2.
 
-    HEURISTIC: E <= log2 M(f) / log2(1.17628), with the exact Graeffe-Landau
-    upper bound of log_mahler_upper as numerator.
+    f is first reduced to its primitive part, which has the same roots and
+    so the same E.  With log2 M(f) bounded above by log_mahler_upper:
 
-    RIGOROUS: the least of the measure-gap bound log2 M(f) / log2 m_d
-    (table or Voutier) and, for primitive f, either Dimitrov's
-    E <= 4d log2 house(f) (house_bound) when f is monic, or
-    E <= log2 M(f) from M(theta) >= |lc(theta)| >= 2 when it is not.  All
-    three rest on theta^E = alpha with theta in Q(alpha): theta then has
-    degree d, M(alpha) = M(theta)^E and house(alpha) = house(theta)^E; see
-    the module docstring.  A non-primitive f keeps the measure-gap bound,
-    which its content only loosens.  The Graeffe iterates are built once
-    for both numerators.
+    HEURISTIC: E <= log2 M(f) / log2(1.17628).
+
+    RIGOROUS: Dimitrov's E <= 4d log2 house(f) (house_bound) when f is
+    monic, E <= log2 M(f) from M(theta) >= |lc(theta)| >= 2 when it is not,
+    and at d <= 6 also the measure gap E <= log2 M(f) / log2 m_d from the
+    exhaustive table.  All rest on theta^E = alpha with theta in Q(alpha):
+    theta then has degree d, M(alpha) = M(theta)^E and
+    house(alpha) = house(theta)^E; see the module docstring.  The Graeffe
+    iterates are built once for both numerators.
     """
     d = f.degree
     if not isinstance(d, int) or d < 2:
         raise ValueError("prime_bound needs degree at least 2")
+    f = content_primitive(f)[1]
     if cyclotomic_tag(f) is not None:
         raise ValueError("prime_bound is undefined for cyclotomic input")
     iterates = graeffe_iterates(f)
     log_m = log_mahler_upper(f, iterates)
-    bound = math.floor(log_m / m_min_log2(d, mode))
-    if mode is BoundMode.RIGOROUS and f.content() == 1:
-        bound = min(bound, house_bound(iterates) if abs(f.lc) == 1 else math.floor(log_m))
+    if mode is BoundMode.HEURISTIC:
+        bound = math.floor(log_m / LEHMER_LOG2_LB)
+    else:
+        bound = house_bound(iterates) if f.lc == 1 else math.floor(log_m)
+        if d in MIN_LOG2_TABLE:
+            bound = min(bound, math.floor(log_m / MIN_LOG2_TABLE[d]))
     return max(1, bound)

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -17,6 +19,7 @@ from freeperiod.cli import _progress_printer, main
 FIG8 = "t^2 - 3*t + 1"
 TREFOIL = "t^2 - t + 1"
 K14 = "4*t^6 - 17*t^5 + 38*t^4 - 51*t^3 + 38*t^2 - 17*t + 4"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -216,6 +219,40 @@ def test_ingest_missing_file_and_header(runner, tmp_path):
     bare.write_text("a,b\n1,2\n", encoding="utf-8")
     res = runner.invoke(main, ["ingest", str(bare)])
     assert res.exit_code == 1 and "header must contain" in res.stderr
+
+
+def test_table_with_a_byte_order_mark_reads_like_one_without(runner, tmp_path):
+    # spreadsheet exports often start a UTF-8 file with a byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfname,alexander\ntrefoil,t^2-t+1\n")
+    res = runner.invoke(main, ["ingest", str(path)])
+    assert res.exit_code == 0 and res.stdout == "trefoil: t^2 - t + 1\n"
+    res = runner.invoke(main, ["factor", "--poly-file", str(path)])
+    assert res.exit_code == 0 and res.stdout == "trefoil: 1 * (t^2 - t + 1)\n"
+
+
+def _readme_sessions():
+    """(argv, output) for each `$ freeperiod ...` session of the README's
+    Command line block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```text\n(.*?)```", text, re.S).group(1)
+    sessions = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.split("\n")
+        assert command.startswith("$ freeperiod ")
+        sessions.append((shlex.split(command)[2:], "".join(ln + "\n" for ln in output)))
+    return sessions
+
+
+def test_readme_command_line_examples(runner, tmp_path):
+    sessions = _readme_sessions()
+    assert len(sessions) == 9
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("knots.csv").write_text("name,alexander\ntrefoil,t^2 - t + 1\n"
+                                     "figure8,t^2 - 3t + 1\n", encoding="utf-8")
+        for argv, output in sessions:
+            res = runner.invoke(main, argv)
+            assert (res.exit_code, res.output) == (0, output), argv
 
 
 # -- mode plumbing ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The library decides in integers: floating point only in Voutier's bound.
+"""The library decides in integers: no float function of math or cmath.
 
 Every module of the package is parsed, not imported, so the check sees
 code on every path, including ones no other test reaches.
@@ -10,7 +10,6 @@ from pathlib import Path
 import freeperiod
 
 FLOAT_MATH = {"log", "exp", "sqrt", "pi"}
-ALLOWED = ("mahler.py", ("voutier_log2_lb",))
 
 
 class _FloatUses(ast.NodeVisitor):
@@ -49,19 +48,19 @@ class _FloatUses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _float_uses():
+def _float_uses(name: str, source: str):
+    visitor = _FloatUses(name)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_scanner_flags_a_planted_float():
+    planted = "import math\n\ndef bound(d):\n    return math.log(d)\n"
+    assert _float_uses("planted.py", planted) == [("planted.py", ("bound",), 4, "math.log")]
+
+
+def test_no_float_math_in_the_package():
     found = []
     for path in sorted(Path(freeperiod.__file__).parent.glob("*.py")):
-        visitor = _FloatUses(path.name)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found.extend(visitor.found)
-    return found
-
-
-def test_floats_only_in_voutiers_bound():
-    found = _float_uses()
-    # the scan sees the one sanctioned use, so an empty result means
-    # something
-    assert any((name, scope) == ALLOWED for name, scope, _, _ in found)
-    stray = [f for f in found if (f[0], f[1]) != ALLOWED]
-    assert stray == []
+        found.extend(_float_uses(path.name, path.read_text(encoding="utf-8")))
+    assert found == []

@@ -10,11 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from freeperiod import (
     BoundMode,
     IntPoly,
+    e_of_irreducible,
     enumerate_candidates,
-    m_min_log2,
     prime_bound,
     rotation_product_deflated,
-    voutier_log2_lb,
 )
 from freeperiod.cyclotomic import cyclotomic, cyclotomic_tag
 from freeperiod.intpoly import graeffe_iterates, log_mahler_upper
@@ -62,31 +61,6 @@ def test_degree_six_matches_degree_three():
     assert abs(numeric_log2_measure(w6) - numeric_log2_measure(w3)) < 1e-9
 
 
-def test_voutier_bound_shape():
-    assert voutier_log2_lb(2) == 0
-    for d in range(3, 200):
-        v = voutier_log2_lb(d)
-        assert 0 < v < LEHMER_LOG2_LB
-
-
-def test_voutier_lies_below_the_table():
-    # exact rational comparison: m_min_log2 returns the table entry alone
-    # at d <= 6 because Voutier's bound is below it at every such d
-    assert sorted(MIN_LOG2_TABLE) == [2, 3, 4, 5, 6]
-    for d, lb in MIN_LOG2_TABLE.items():
-        assert voutier_log2_lb(d) < lb
-
-
-def test_m_min_log2_mode_dispatch():
-    for d in range(2, 12):
-        assert m_min_log2(d, BoundMode.HEURISTIC) == LEHMER_LOG2_LB
-    for d, lb in MIN_LOG2_TABLE.items():
-        assert m_min_log2(d, BoundMode.RIGOROUS) == lb
-    assert m_min_log2(7, BoundMode.RIGOROUS) == voutier_log2_lb(7)
-    with pytest.raises(ValueError):
-        m_min_log2(1, BoundMode.HEURISTIC)
-
-
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1,
                 max_size=8).filter(lambda cs: any(cs)))
 def test_log_mahler_upper_is_an_upper_bound(cs):
@@ -108,11 +82,13 @@ def test_prime_bound_frozen_values():
     for f, mode, value in cases:
         bound = prime_bound(f, mode)
         assert bound == value
+        # the measure gap of the mode at degree 2
+        gap = LEHMER_LOG2_LB if mode is BoundMode.HEURISTIC else MIN_LOG2_TABLE[2]
         # sound: no smaller than the bound from the numeric measure
-        measured = numeric_log2_measure(f) / float(m_min_log2(f.degree, mode))
+        measured = numeric_log2_measure(f) / float(gap)
         assert bound >= math.floor(measured)
         # never looser than Landau's bound on f itself
-        landau = landau_log2_upper(f) / m_min_log2(f.degree, mode)
+        landau = landau_log2_upper(f) / gap
         assert bound <= max(1, math.floor(landau))
 
 
@@ -149,12 +125,7 @@ def test_prime_bound_rejections():
         prime_bound(IntPoly((5,)))
 
 
-# -- the rigorous bound: measure gap, Dimitrov's house bound, M >= 2 -------
-
-
-def measure_gap_bound(f: IntPoly) -> int:
-    """The measure-gap bound alone, Graeffe-Landau over m_min_log2."""
-    return max(1, math.floor(log_mahler_upper(f) / m_min_log2(f.degree, BoundMode.RIGOROUS)))
+# -- the rigorous bound: Dimitrov's house bound, M >= 2, the table --------
 
 
 @st.composite
@@ -174,12 +145,13 @@ def test_house_bound_is_an_upper_bound(f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6),
-       st.integers(min_value=2, max_value=7))
-def test_rigorous_bound_admits_a_true_power(middle, n):
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=10),
+       st.integers(min_value=2, max_value=7), st.sampled_from([1, 2, 3]))
+def test_rigorous_bound_admits_a_true_power(middle, n, lc):
     # R(x) = prod (x - beta^n) over the roots beta of g; when R is
-    # irreducible its root beta^n generates Q(beta), so E >= n
-    g = IntPoly((middle[0] or 1, *middle[1:], 1))
+    # irreducible its root beta^n generates Q(beta), so E >= n.  Above
+    # degree 6 the house bound (monic g) or log2 M (non-monic g) decides.
+    g = IntPoly((middle[0] or 1, *middle[1:], lc))
     r = rotation_product_deflated(g, n)
     fac = factor_over_z(r)
     assume(len(fac.factors) == 1 and fac.factors[0][1] == 1)
@@ -187,12 +159,12 @@ def test_rigorous_bound_admits_a_true_power(middle, n):
     assert prime_bound(fac.factors[0][0], BoundMode.RIGOROUS) >= n
 
 
-def test_rigorous_bound_never_looser_on_the_genus_9_survey():
+def test_rigorous_bound_is_sound_on_the_genus_9_survey():
     factors = {g for c in enumerate_candidates(9) for g, _ in factor_over_z(c.poly).factors
                if g.degree >= 2 and cyclotomic_tag(g) is None}
     assert len(factors) > 300
     for g in factors:
-        assert prime_bound(g, BoundMode.RIGOROUS) <= measure_gap_bound(g)
+        assert e_of_irreducible(g, BoundMode.RIGOROUS).e <= prime_bound(g, BoundMode.RIGOROUS)
 
 
 @pytest.mark.parametrize("f", [IntPoly((-1, 3, -5, 4)), IntPoly((2, -3, 2)),
@@ -205,19 +177,19 @@ def test_rigorous_bound_non_monic_is_log2_measure(f):
 
 
 def test_rigorous_bound_frozen_house_value():
-    # the genus-9 candidate with the loosest measure-gap bound (57):
-    # Dimitrov's house bound takes it to 18
+    # a monic degree-18 genus-9 candidate: Dimitrov's house bound decides
     exps = (18, 17, 16, 14, 13, 12, 9, 6, 5, 4, 2, 1, 0)
     f = IntPoly.from_terms((b, (-1) ** j) for j, b in enumerate(exps))
     assert factor_over_z(f).factors == ((f, 1),)
-    assert measure_gap_bound(f) == 57
     assert house_bound(graeffe_iterates(f)) == 18
     assert prime_bound(f, BoundMode.RIGOROUS) == 18
 
 
 def test_rigorous_bound_non_primitive_keeps_the_measure_gap():
     # 2 (t^2 - 47t + 1) has the root phi^8 (E = 8): its leading coefficient
-    # says nothing about integrality, so M(theta) >= 2 must not be used
+    # says nothing about integrality, so the bound is that of its primitive
+    # part, the measure gap at degree 2, and not M(theta) >= 2
     f = IntPoly((2, -94, 2))
-    assert prime_bound(f, BoundMode.RIGOROUS) == measure_gap_bound(f) >= 8
+    assert prime_bound(f, BoundMode.RIGOROUS) == prime_bound(IntPoly((1, -47, 1)),
+                                                            BoundMode.RIGOROUS) >= 8
     assert math.floor(log_mahler_upper(f)) < 8

@@ -1,23 +1,25 @@
 """Polynomial arithmetic over Z/m and factorization over prime fields F_p.
 
 Coefficient vectors are plain Python lists of residues in [0, m), ascending,
-trimmed.  gfp_mul, gfp_add, gfp_sub, gfp_divmod, gfp_mod and gfp_monic take
-any modulus m, as long as every divisor (and every input to gfp_monic) has
-a leading coefficient that is a unit mod m; Hensel lifting and Zassenhaus
-recombination run on them with m = p^l.  Everything else (gcds, powmod,
+trimmed.  That is the contract of every kernel here, and the packed
+products below rely on it: a slot sized for residues would carry into its
+neighbour on a larger input.  gfp_mul, gfp_add, gfp_sub, gfp_divmod,
+gfp_mod and gfp_monic take any modulus m, as long as every divisor (and
+every input to gfp_monic) has a leading coefficient that is a unit mod m;
+Hensel lifting and Zassenhaus recombination run on them with m = p^l.  Everything else (gcds, powmod,
 derivative, evaluation, the distinct- and equal-degree splits) needs m
-prime.  The multiplication and division kernels switch between three
-strategies: schoolbook for short operands, numpy int64 convolution while
-(m-1)^2 * min(len) stays below 2^62, and Kronecker substitution (packing
-into one big integer) beyond that.  The distinct-degree split uses the
-Frobenius map h -> h^p, which is F_p-linear: it builds the matrix Q of
-x^(ip) mod v once per input (Berlekamp's Q-matrix) and then advances one
-degree per numpy product h @ Q, in place of repeated squaring (von zur
-Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree splitting and
-the quadratic-character test has_nonsquare_factor take (p^k - 1)/2 powers
-from the same matrix, as products of Frobenius images of a (p - 1)/2
-power, so the equal-degree split (factor_squarefree_mod_p) needs an odd
-p.  It is randomized but seeded from a hash of the input, so
+prime.  All arithmetic is on Python integers.  gfp_mul is one Kronecker
+product (each operand packed into one integer, one multiply, one unpack)
+at every size and modulus, and gfp_divmod one schoolbook loop.  The
+distinct-degree split uses the Frobenius map h -> h^p, which is
+F_p-linear: it packs each row x^(ip) mod v into one integer once per
+input (the rows of Berlekamp's Q-matrix) and then advances one degree as
+the sum of h_i times row i and one unpack, in place of repeated squaring
+(von zur Gathen and Shoup, Comput. Complexity 2, 1992).  Equal-degree
+splitting and the quadratic-character test has_nonsquare_factor take
+(p^k - 1)/2 powers from the same rows, as products of Frobenius images of
+a (p - 1)/2 power, so the equal-degree split (factor_squarefree_mod_p)
+needs an odd p.  It is randomized but seeded from a hash of the input, so
 factorizations are reproducible.  gf2_degree_pattern works over F_2 on
 its own representation, one Python int per polynomial; zfactor uses it
 as a sieve only.
@@ -28,8 +30,6 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import lru_cache
-
-import numpy as np
 
 # -- primality -------------------------------------------------------------
 
@@ -76,8 +76,6 @@ def next_prime(n: int) -> int:
 
 # -- kernel helpers --------------------------------------------------------
 
-_NUMPY_LIMIT = 1 << 62
-
 
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -85,47 +83,36 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _kron_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product over Z of nonnegative-coefficient polynomials.
+def _pack(c: list[int], w: int) -> int:
+    """c as one integer, coefficient i in bits [i w, (i + 1) w)."""
+    x = 0
+    for a in reversed(c):
+        x = (x << w) | a
+    return x
 
-    Packs each operand into one big integer with fixed-width slots and
-    lets CPython's subquadratic integer multiply do the work.
-    """
-    amax, bmax = max(a), max(b)
-    slot = (amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8 * 8
-    nbytes = slot // 8
-    abuf = bytearray(nbytes * len(a))
-    for i, c in enumerate(a):
-        abuf[i * nbytes : i * nbytes + (c.bit_length() + 7) // 8] = c.to_bytes(
-            (c.bit_length() + 7) // 8 or 1, "little"
-        )
-    bbuf = bytearray(nbytes * len(b))
-    for i, c in enumerate(b):
-        bbuf[i * nbytes : i * nbytes + (c.bit_length() + 7) // 8] = c.to_bytes(
-            (c.bit_length() + 7) // 8 or 1, "little"
-        )
-    prod = int.from_bytes(bytes(abuf), "little") * int.from_bytes(bytes(bbuf), "little")
-    out_len = len(a) + len(b) - 1
-    pbuf = prod.to_bytes(out_len * nbytes + nbytes, "little")
-    return [int.from_bytes(pbuf[i * nbytes : (i + 1) * nbytes], "little") for i in range(out_len)]
+
+def _unpack(x: int, w: int, count: int, m: int) -> list[int]:
+    """The first count w-bit slots of x, each reduced mod m, trimmed."""
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(count):
+        out.append((x & mask) % m)
+        x >>= w
+    return _trim(out)
 
 
 def gfp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    """Product in (Z/m)[t]."""
+    """Product in (Z/m)[t], by Kronecker substitution.
+
+    Each coefficient of the product over Z is a sum of min(len a, len b)
+    products of residues below m, so slots of 2 bitlen(m - 1) +
+    bitlen(min(len a, len b)) bits hold it without carries, and one
+    integer multiply does the convolution.
+    """
     if not a or not b:
         return []
-    la, lb = len(a), len(b)
-    if la + lb < 24:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % m
-        return _trim(out)
-    if (m - 1) * (m - 1) * min(la, lb) < _NUMPY_LIMIT:
-        out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % m
-        return _trim([int(x) for x in out])
-    return _trim([c % m for c in _kron_mul(a, b)])
+    w = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
+    return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, m)
 
 
 def gfp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -136,17 +123,6 @@ def gfp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
         return [], _trim([c % m for c in a])
     inv = pow(b[-1], -1, m)
     db = len(b) - 1
-    use_np = db >= 24 and (m - 1) * (m - 1) * 2 < _NUMPY_LIMIT
-    if use_np:
-        rem = np.array(a, dtype=np.int64)
-        bv = np.array(b, dtype=np.int64)
-        q = [0] * (len(a) - db)
-        for k in range(len(q) - 1, -1, -1):
-            c = int(rem[k + db]) * inv % m
-            q[k] = c
-            if c:
-                rem[k : k + db + 1] = (rem[k : k + db + 1] - c * bv) % m
-        return _trim(q), _trim([int(x) for x in rem[:db]])
     rem = list(a)
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
@@ -241,35 +217,52 @@ def reduce_mod_p(coeffs, p: int) -> list[int]:
 # -- distinct-degree, equal-degree ----------------------------------------
 
 
-def _frobenius_matrix(v: list[int], p: int, dtype) -> np.ndarray:
-    """Q with rows x^(i p) mod v for i < deg v, so that h^p mod v = h @ Q.
+# (w, rows): row i is x^(i p) mod v packed by _pack with slots of w bits
+Frobenius = tuple[int, list[int]]
 
-    Row i is row i-1 times x^p mod v.  With m = deg(x^p mod v), which is
-    p itself when p < n, that product spills m coefficients past degree
-    n - 1; they fold back through a table of x^(n+k) mod v for k < m, so
-    each row costs O(m n).
+
+def _frobenius_rows(v: list[int], p: int) -> Frobenius:
+    """The rows x^(i p) mod v for i < n = deg v, packed for _frobenius.
+
+    Row i is row i-1 times x^p mod v, one packed product.  With
+    m = deg(x^p mod v), which is p itself when p < n, that product spills
+    m coefficients past degree n - 1; they fold back through a table of
+    x^(n+k) mod v for k < m, so each row costs O(m) packed operations and
+    one unpack.  Slots of w = 2 bitlen(p - 1) + bitlen(2n) bits hold the
+    up to n + m products of residues that a folded slot sums.
     """
     n = len(v) - 1
-    xp = np.array(gfp_powmod([0, 1], p, v, p), dtype=dtype)
-    low = np.array(v[:n], dtype=dtype)
-    spill = np.zeros((len(xp) - 1, n), dtype=dtype)
-    row = -low % p  # x^n mod v
-    for k in range(len(spill)):
-        spill[k] = row
-        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
-    q = np.zeros((n, n), dtype=dtype)
-    q[0, 0] = 1
-    for i in range(1, n):
-        c = np.convolve(q[i - 1], xp) % p
-        q[i] = (c[:n] + c[n:] @ spill[: len(c) - n]) % p
-    return q
+    w = 2 * (p - 1).bit_length() + (2 * n).bit_length()
+    xp = gfp_powmod([0, 1], p, v, p)
+    low = v[:n]
+    spill = []
+    row = [-c % p for c in low]  # x^n mod v
+    for _ in range(len(xp) - 1):
+        spill.append(_pack(row, w))
+        top = row[-1]
+        row = [(r - top * c) % p for r, c in zip([0] + row[:-1], low)]
+    packed_xp, shift, low_mask = _pack(xp, w), n * w, (1 << n * w) - 1
+    rows = [1]
+    for _ in range(1, n):
+        c = rows[-1] * packed_xp
+        high = _unpack(c >> shift, w, len(spill), p)
+        acc = (c & low_mask) + sum(ck * sk for ck, sk in zip(high, spill))
+        rows.append(_pack(_unpack(acc, w, n, p), w))
+    return w, rows
+
+
+def _frobenius(h: list[int], q: Frobenius, p: int) -> list[int]:
+    """h^p mod v = sum of h_i x^(i p) mod v, as one unpack of the packed
+    rows q of v; h is reduced modulo v."""
+    w, rows = q
+    return _unpack(sum(c * r for c, r in zip(h, rows)), w, len(rows), p)
 
 
 @lru_cache(maxsize=1)
 def _split_with_matrix(
     coeffs: tuple[int, ...], p: int
-) -> tuple[list[tuple[list[int], int]], np.ndarray | None]:
-    """distinct_degree_split and the Frobenius matrix of v it used (None
+) -> tuple[list[tuple[list[int], int]], Frobenius | None]:
+    """distinct_degree_split and the Frobenius rows of v it used (None
     below degree 2, where no degree needs a Frobenius step).
 
     The last split is kept: zfactor's trace path asks for the degree
@@ -278,18 +271,15 @@ def _split_with_matrix(
     """
     v = list(coeffs)
     parts: list[tuple[list[int], int]] = []
-    n = len(v) - 1
     q = None
     d = 0
-    if n >= 2:
-        dtype = np.int64 if (p - 1) * (p - 1) * n < _NUMPY_LIMIT else object
-        q = _frobenius_matrix(v, p, dtype)
-        h = np.zeros(n, dtype=dtype)
-        h[1] = 1
+    if len(v) - 1 >= 2:
+        q = _frobenius_rows(v, p)
+        h = [0, 1]
         while len(v) - 1 >= 2 * (d + 1):
             d += 1
-            h = h @ q % p
-            g = gfp_gcd(gfp_sub(_trim(h.tolist()), [0, 1], p), v, p)
+            h = _frobenius(h, q, p)
+            g = gfp_gcd(gfp_sub(h, [0, 1], p), v, p)
             if len(g) > 1:
                 parts.append((g, d))
                 v = gfp_divmod(v, g, p)[0]
@@ -301,33 +291,29 @@ def _split_with_matrix(
 def distinct_degree_split(v: list[int], p: int) -> list[tuple[list[int], int]]:
     """Split monic squarefree v into (product of degree-d irreducibles, d).
 
-    h = x^(p^d) mod v advances one Frobenius step per degree as h @ Q
-    (see _frobenius_matrix); h stays reduced modulo the input v, and
-    gcd(h - x, v) reduces it modulo the shrinking cofactor.  Entries stay
-    below (p-1)^2 n, so int64 serves while that fits and exact Python
-    integers (dtype=object) beyond.
+    h = x^(p^d) mod v advances one Frobenius step per degree (see
+    _frobenius_rows); h stays reduced modulo the input v, and
+    gcd(h - x, v) reduces it modulo the shrinking cofactor.
     """
     return _split_with_matrix(tuple(v), p)[0]
 
 
 def _half_power(
-    a: list[int], k: int, u: list[int], q: np.ndarray | None, p: int
+    a: list[int], k: int, u: list[int], q: Frobenius | None, p: int
 ) -> list[int]:
-    """a^((p^k - 1)/2) mod u for odd p, given the Frobenius matrix q of a
+    """a^((p^k - 1)/2) mod u for odd p, given the Frobenius rows q of a
     multiple of u.
 
     (p^k - 1)/2 = (p - 1)/2 * (1 + p + ... + p^(k-1)), so the power is
     the product of the Frobenius images b^(p^i), i < k, of
-    b = a^((p-1)/2): one matrix-vector product each, in place of
+    b = a^((p-1)/2): one pass over the rows each, in place of
     k log2(p) squarings.  Reducing a multiple of u's Frobenius image
     modulo u gives u's own.
     """
     b = gfp_powmod(a, (p - 1) // 2, u, p)
     out = img = b
     for _ in range(k - 1):
-        vec = np.zeros(len(q), dtype=q.dtype)
-        vec[: len(img)] = img
-        img = gfp_mod(_trim((vec @ q % p).tolist()), u, p)
+        img = gfp_mod(_frobenius(img, q, p), u, p)
         out = gfp_mod(gfp_mul(out, img, p), u, p)
     return out
 
@@ -415,10 +401,10 @@ def gf2_degree_pattern(coeffs) -> list[int] | None:
     return out
 
 
-def _edf(u: list[int], d: int, p: int, q: np.ndarray | None,
+def _edf(u: list[int], d: int, p: int, q: Frobenius | None,
          rng: random.Random) -> list[list[int]]:
     """Equal-degree splitting for odd p: u = product of irreducibles of
-    degree d; q is the Frobenius matrix of a multiple of u."""
+    degree d; q holds the Frobenius rows of a multiple of u."""
     n = len(u) - 1
     if n == d:
         return [u]

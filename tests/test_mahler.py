@@ -1,5 +1,6 @@
 """Mahler measure constants and the derived exponent bound."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from freeperiod import (
     IntPoly,
     e_of_irreducible,
     enumerate_candidates,
+    power_index,
     prime_bound,
     rotation_product_deflated,
 )
@@ -23,6 +25,7 @@ from freeperiod.mahler import (
     MIN_MEASURE_WITNESS,
     house_bound,
 )
+from freeperiod.modpoly import is_prime
 from freeperiod.zfactor import factor_over_z
 
 
@@ -159,12 +162,39 @@ def test_rigorous_bound_admits_a_true_power(middle, n, lc):
     assert prime_bound(fac.factors[0][0], BoundMode.RIGOROUS) >= n
 
 
-def test_rigorous_bound_is_sound_on_the_genus_9_survey():
+@functools.lru_cache(maxsize=1)
+def _genus_9_factors() -> tuple[IntPoly, ...]:
+    """The distinct non-cyclotomic factors of degree >= 2 of survey(9)."""
     factors = {g for c in enumerate_candidates(9) for g, _ in factor_over_z(c.poly).factors
                if g.degree >= 2 and cyclotomic_tag(g) is None}
+    return tuple(sorted(factors, key=lambda g: g.coeffs))
+
+
+def test_rigorous_bound_is_sound_on_the_genus_9_survey():
+    factors = _genus_9_factors()
     assert len(factors) > 300
     for g in factors:
         assert e_of_irreducible(g, BoundMode.RIGOROUS).e <= prime_bound(g, BoundMode.RIGOROUS)
+
+
+def test_rigorous_e_holds_when_searched_past_the_bound_on_the_genus_9_survey():
+    # e_of_irreducible searches only below prime_bound, so the test above
+    # would pass with a bound too small to see E.  Here E is searched again
+    # up to B, twice the larger of the Lehmer-gap bound and the rigorous
+    # one, at every prime p <= B and every level p^r <= B.
+    factors = _genus_9_factors()
+    assert len(factors) == 391
+    for g in factors:
+        big = 2 * max(math.floor(log_mahler_upper(g) / LEHMER_LOG2_LB),
+                      prime_bound(g, BoundMode.RIGOROUS))
+        e_big = 1
+        for p in range(2, big + 1):
+            if is_prime(p):
+                max_r = 0
+                while p ** (max_r + 1) <= big:
+                    max_r += 1
+                e_big *= p ** power_index(g, p, max_r)
+        assert e_of_irreducible(g, BoundMode.RIGOROUS).e == e_big, g
 
 
 @pytest.mark.parametrize("f", [IntPoly((-1, 3, -5, 4)), IntPoly((2, -3, 2)),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod.modpoly import (
-    _NUMPY_LIMIT,
     _half_power,
     _split_with_matrix,
     ddf_degree_multiset,
@@ -306,29 +305,32 @@ def test_has_nonsquare_factor_matches_factorwise_characters(case):
 
 
 def test_distinct_degree_split_wide_prime_uses_exact_integers():
-    # (p-1)^2 deg f overflows int64 products, so the Frobenius matrix is
-    # carried as Python integers
-    p = 2**31 - 1
-    f = [1]
-    for g in ([3, 1], [p - 5, 1], [7, 0, 1], [11, 13, 0, 1], [2, 0, 0, 0, 5, 1]):
-        f = gfp_mul(f, g, p)
-    assert (p - 1) ** 2 * (len(f) - 1) >= _NUMPY_LIMIT
-    assert _is_squarefree(f, p)
-    blocks = distinct_degree_split(f, p)
-    assert blocks == reference_distinct_degree_split(f, p)
-    prod = [1]
-    for part, _ in blocks:
-        prod = gfp_mul(prod, part, p)
-    assert prod == f
-    factors = factor_squarefree_mod_p(f, p)
-    assert [len(g) - 1 for g in factors] == ddf_degree_multiset(f, p)
+    # (p-1)^2 deg f overflows a machine word at each of these Mersenne
+    # primes, so the packed Frobenius rows take slots wider than 64 bits
+    for p in (2**31 - 1, 2**61 - 1, 2**89 - 1):
+        f = [1]
+        for g in ([3, 1], [p - 5, 1], [7, 0, 1], [11, 13, 0, 1], [2, 0, 0, 0, 5, 1]):
+            f = gfp_mul(f, g, p)
+        assert _is_squarefree(f, p)
+        blocks = distinct_degree_split(f, p)
+        assert blocks == reference_distinct_degree_split(f, p)
+        prod = [1]
+        for part, _ in blocks:
+            prod = gfp_mul(prod, part, p)
+        assert prod == f
+        factors = factor_squarefree_mod_p(f, p)
+        assert [len(g) - 1 for g in factors] == ddf_degree_multiset(f, p)
+        a = [2, 1]  # x + 2, a unit modulo f
+        assert gfp_gcd(a, f, p) == [1]
+        chars = [gfp_powmod(a, (p ** (len(u) - 1) - 1) // 2, u, p) for u in factors]
+        assert has_nonsquare_factor(a, f, p) == (chars.count([1]) < len(chars)), p
 
 
 # -- the kernels at composite moduli m = p^l ---------------------------------
 
-# 5^8 keeps (m-1)^2 * len inside int64 (numpy branches); 3^40 does not
-# (Kronecker product, Python-integer division)
-PRIME_POWERS = [4, 27, 5**8, 3**40]
+# from m = 2, where a product slot is a few bits wide, to 3^40 and the
+# Mersenne prime 2^61 - 1, whose slots outgrow a machine word
+PRIME_POWERS = [2, 4, 27, 5**8, 2**61 - 1, 3**40]
 
 
 def reference_mul(a, b, m):
@@ -345,34 +347,40 @@ def reference_add(a, b, m, sign=1):
     return reduce_mod_p([x + sign * y for x, y in zip(a, b)], m)
 
 
-def residues(m, short, long):
-    """Short vectors (schoolbook) or long ones (numpy or Kronecker branches)."""
+def residues(m, min_size=1, max_size=40):
+    """Vectors of 1 to 40 residues by default.  The length is drawn first,
+    so products with la + lb > 24 and divisors of degree > 24 come up as
+    often as short ones."""
     coeff = st.integers(min_value=0, max_value=m - 1)
-    return st.one_of(st.lists(coeff, max_size=short),
-                     st.lists(coeff, min_size=long, max_size=long + 12))
+    return st.integers(min_value=min_size, max_value=max_size).flatmap(
+        lambda n: st.lists(coeff, min_size=n, max_size=n))
 
 
 def unit_lc_divisors(m):
-    """Divisors whose leading coefficient is a unit mod m, often not 1."""
+    """Divisors of 1 to 40 coefficients whose leading coefficient is a unit
+    mod m, often not 1."""
     unit = st.integers(min_value=1, max_value=m - 1).filter(lambda u: math.gcd(u, m) == 1)
-    return st.tuples(residues(m, 6, 24), unit).map(lambda lu: lu[0] + [lu[1]])
+    return st.tuples(residues(m, 0, 39), unit).map(lambda lu: lu[0] + [lu[1]])
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_kernels_at_prime_powers_match_integer_schoolbook(m, data):
-    a = reduce_mod_p(data.draw(residues(m, 11, 30)), m)  # kernels take trimmed vectors
-    b = reduce_mod_p(data.draw(residues(m, 11, 13)), m)
+    a = reduce_mod_p(data.draw(residues(m)), m)  # kernels take trimmed vectors
+    b = reduce_mod_p(data.draw(residues(m)), m)
     assert gfp_mul(a, b, m) == reference_mul(a, b, m)
     assert gfp_add(a, b, m) == reference_add(a, b, m)
     assert gfp_sub(a, b, m) == reference_add(a, b, m, sign=-1)
     v = data.draw(unit_lc_divisors(m))
-    q, r = gfp_divmod(a, v, m)
-    # with a unit leading coefficient, a = q v + r and deg r < deg v pin q, r
-    assert len(r) < len(v)
-    assert q == reduce_mod_p(q, m) and r == reduce_mod_p(r, m)
-    assert reference_add(reference_mul(q, v, m), r, m) == reduce_mod_p(a, m)
+    # the product a b reaches 79 coefficients, so long divisors get
+    # dividends longer than themselves too
+    for x in (a, reference_mul(a, b, m)):
+        q, r = gfp_divmod(x, v, m)
+        # with a unit leading coefficient, x = q v + r and deg r < deg v pin q, r
+        assert len(r) < len(v)
+        assert q == reduce_mod_p(q, m) and r == reduce_mod_p(r, m)
+        assert reference_add(reference_mul(q, v, m), r, m) == x
 
 
 def _sympy_mod2_pattern(coeffs):

@@ -40,7 +40,14 @@ from .hartley import (
     normalize_alexander,
 )
 from .intpoly import IntPoly, format_poly, parse_poly
-from .lspace import FilterConfig, parallel_map, survey
+from .lspace import (
+    FilterConfig,
+    SurveyTally,
+    parallel_map,
+    survey_stream,
+    write_csv,
+    write_json,
+)
 from .murasugi import murasugi_screen, murasugi_screen_all
 from .zfactor import factor_over_z
 
@@ -350,7 +357,9 @@ def _progress_printer(stream: TextIO) -> Callable[[int, int], None]:
 def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json, as_csv):
     """Survey candidate L-space knot polynomials for periodicity escapes.
 
-    Progress and ETA go to stderr when it is a terminal.
+    Records are written out as they are computed and never all held, so
+    memory does not grow with --max-genus.  Progress and ETA go to stderr
+    when it is a terminal.
     """
     if max_genus > 10 and not full:
         raise click.UsageError(
@@ -361,25 +370,28 @@ def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json, as_csv):
         raise click.UsageError("provide at most one of --json or --csv")
     filters = FilterConfig(top_gap_1="top-gap-1" in filter_names)
     progress = _progress_printer(sys.stderr) if sys.stderr.isatty() else None
-    report = survey(max_genus, mode, filters, jobs=jobs, progress=progress)
+    records = survey_stream(max_genus, mode, filters, jobs=jobs,
+                            progress=progress)
     if as_json:
-        click.echo(report.to_json())
+        write_json(sys.stdout, records, max_genus, mode, filters)
+        sys.stdout.write("\n")
         return
     if as_csv:
-        click.echo(report.to_csv(), nl=False)
+        write_csv(sys.stdout, records, mode, filters.top_gap_1)
         return
+    tally = SurveyTally()
+    for r in records:
+        tally.add(r)
     click.echo(f"mode: {mode.value} (rigorous: {mode is BoundMode.RIGOROUS})")
-    click.echo(f"counts: {report.counts}")
-    hx = report.hartley_exceptional
-    click.echo(f"hartley exceptional: {len(hx)}")
-    for r in hx:
+    click.echo(f"counts: {tally.counts}")
+    click.echo(f"hartley exceptional: {len(tally.hartley_exceptional)}")
+    for r in tally.hartley_exceptional:
         click.echo(f"  genus {r.candidate.genus}: "
                    f"{format_poly(r.candidate.poly)}")
-    for q in report.hit_qs():
-        qual = report.murasugi_exceptional(q)
-        bare = report.murasugi_exceptional(q, require_divides=False)
+    for q in tally.hit_qs():
+        qual = tally.murasugi_exceptional.get(q, ())
         click.echo(f"murasugi q={q}: {len(qual)} divides-qualified"
-                   f" of {len(bare)} bare hits")
+                   f" of {tally.bare_hits[q]} bare hits")
         for r in qual:
             click.echo(f"  genus {r.candidate.genus}: "
                        f"{format_poly(r.candidate.poly)}")

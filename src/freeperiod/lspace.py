@@ -20,15 +20,18 @@ candidates whose free or ordinary periodicity is not obstructed.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import shutil
+import tempfile
+from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from multiprocessing import get_context
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
@@ -106,7 +109,9 @@ def enumerate_candidates(
     filters = filters or FilterConfig()
     for g in range(1, g_max + 1):
         slots = range(g + 1, 2 * g)
-        batch = []
+        # bit i of mask is slot g+1+i, so masks rise exactly as the
+        # exponent tuples do: the first differing exponent is the highest
+        # slot in which the two masks differ
         for mask in range(1 << len(slots)):
             upper = frozenset(b for i, b in enumerate(slots) if mask >> i & 1)
             cand = Candidate.from_gap_set(g, upper)
@@ -114,9 +119,14 @@ def enumerate_candidates(
                 continue
             if filters.predicate is not None and not filters.predicate(cand):
                 continue
-            batch.append(cand)
-        batch.sort(key=lambda c: c.exponents)
-        yield from batch
+            yield cand
+
+
+def _candidate_count(g_max: int, top_gap_1: bool) -> int:
+    """len(list(enumerate_candidates(g_max, FilterConfig(top_gap_1))))
+    without enumerating.  Top gap 1 means slot 2g-1 is taken, which halves
+    each genus above 1."""
+    return sum(1 << max(g - 1 - top_gap_1, 0) for g in range(1, g_max + 1))
 
 
 # -- factoring candidates --------------------------------------------------
@@ -244,41 +254,226 @@ def survey_records(cands: list[Candidate],
     return [candidate_record(c, mode) for c in cands]
 
 
+_CHUNK = 64
+
+
 def _map_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
     return [fn(x) for x in chunk]
+
+
+def _windowed(pool, task: Callable[[list[T]], list[R]],
+              chunks: Iterator[list[T]], depth: int) -> Iterator[list[R]]:
+    """task(c) for each chunk c, computed by pool and yielded in order,
+    with at most depth chunks submitted and not yet yielded."""
+    pending = deque(pool.submit(task, c) for c in islice(chunks, depth))
+    while pending:
+        part = pending.popleft().result()
+        pending.extend(pool.submit(task, c) for c in islice(chunks, 1))
+        yield part
+
+
+def _ordered_map(fn: Callable[[T], R], items: Iterable[T], total: int,
+                 jobs: int, progress: Optional[Callable[[int, int], None]]
+                 ) -> Iterator[R]:
+    """fn(x) for x in items, lazily and in input order; total is the
+    number of items.
+
+    The pool has w = min(jobs, os.cpu_count()) workers; more would only
+    contend for the same cores.  Items go out in chunks of 64, or of
+    ceil(total / (8 w)) across a pool when that is smaller, and the pool
+    holds at most 2 w chunks at a time, so neither the items nor the
+    results are ever all in memory.  Workers are spawned, not forked, so
+    they start from a fresh import: fn and the items must pickle, and a
+    calling script needs its __main__ guard.  progress(done, total) runs
+    after each chunk.  An exception raised by fn propagates from the first
+    failing item in input order, whatever jobs is, and cancels the chunks
+    still pending.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    pooled = workers > 1 and total > 1
+    size = min(_CHUNK, math.ceil(total / (8 * workers))) if pooled else _CHUNK
+    rest = iter(items)
+    chunks = iter(lambda: list(islice(rest, size)), [])
+    task = partial(_map_chunk, fn)
+    done = 0
+    with ExitStack() as stack:
+        parts = map(task, chunks)
+        if pooled:
+            # imported here: a run without a pool never loads them
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=get_context("spawn"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            parts = _windowed(pool, task, chunks, 2 * workers)
+        for part in parts:
+            done += len(part)
+            if progress:
+                progress(done, total)
+            yield from part
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
                  progress: Optional[Callable[[int, int], None]] = None) -> list[R]:
     """[fn(x) for x in items], computed by worker processes when jobs > 1.
 
-    The pool has w = min(jobs, os.cpu_count()) workers; more would only
-    contend for the same cores.  Items go out in chunks, 64 per chunk
-    serially and ceil(n / (8 w)) across the pool, and results come back
-    in input order.  Workers are spawned, not forked, so they start from
-    a fresh import: fn and the items must pickle, and a calling script
-    needs its __main__ guard.
-    progress(done, total) runs after each chunk.  An exception raised by
-    fn propagates from the first failing item in input order, whatever
-    jobs is.
+    The chunking, the pool, progress and errors are those of
+    _ordered_map.
     """
-    workers = min(jobs, os.cpu_count() or 1)
-    pooled = workers > 1 and len(items) > 1
-    size = max(1, math.ceil(len(items) / (8 * workers))) if pooled else 64
-    chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    out: list[R] = []
-    with ExitStack() as stack:
-        run = map
-        if pooled:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=get_context("spawn"))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            run = pool.map
-        for part in run(partial(_map_chunk, fn), chunks):
-            out.extend(part)
-            if progress:
-                progress(len(out), len(items))
-    return out
+    return list(_ordered_map(fn, items, len(items), jobs, progress))
+
+
+# -- report encoding -------------------------------------------------------
+
+
+def _ident(r: CandidateRecord) -> dict:
+    return {"genus": r.candidate.genus,
+            "exponents": list(r.candidate.exponents)}
+
+
+@dataclass
+class SurveyTally:
+    """A survey's aggregates, gathered one record at a time.
+
+    The exceptional records are kept: they are the survey's findings, and
+    few.  Records with a bare Murasugi hit at q (divides or not) are only
+    counted, in bare_hits[q].
+    """
+
+    candidates: int = 0
+    cyclotomic_products: int = 0
+    hartley_exceptional: list[CandidateRecord] = field(default_factory=list)
+    murasugi_exceptional: dict[int, list[CandidateRecord]] = field(
+        default_factory=dict)
+    bare_hits: dict[int, int] = field(default_factory=dict)
+
+    def add(self, r: CandidateRecord) -> None:
+        self.candidates += 1
+        self.cyclotomic_products += r.cyclotomic_product
+        if r.hartley_exceptional:
+            self.hartley_exceptional.append(r)
+        for q in {h.q for h in r.murasugi or ()}:
+            self.bare_hits[q] = self.bare_hits.get(q, 0) + 1
+            if r.murasugi_hit_at(q):
+                self.murasugi_exceptional.setdefault(q, []).append(r)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {"candidates": self.candidates,
+                "cyclotomic_products": self.cyclotomic_products,
+                "noncyclotomic": self.candidates - self.cyclotomic_products}
+
+    def hit_qs(self) -> list[int]:
+        """Sorted moduli q with at least one Murasugi hit."""
+        return sorted(self.bare_hits)
+
+    def payload(self) -> dict:
+        """The report's "aggregates" object."""
+        qs = self.hit_qs()
+        return {
+            **self.counts,
+            "hartley_exceptional": [_ident(r) for r in self.hartley_exceptional],
+            "murasugi_exceptional_by_q": {
+                str(q): [_ident(r) for r in self.murasugi_exceptional.get(q, ())]
+                for q in qs},
+            "murasugi_bare_hits_by_q": {str(q): self.bare_hits[q] for q in qs},
+        }
+
+
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+_JSON_TAIL = "]}"
+
+
+def _json_head(g_max: int, mode: BoundMode, top_gap_1: bool,
+               custom_filter: bool, tally: SurveyTally) -> str:
+    """The report's JSON before its first record, ending in '"records":['."""
+    return _ENCODE({
+        "version": SCHEMA_VERSION,
+        "config": {"g_max": g_max, "mode": mode.value,
+                   "rigorous": mode is BoundMode.RIGOROUS,
+                   "filters": {"top_gap_1": top_gap_1,
+                               "custom_predicate": custom_filter}},
+        "aggregates": tally.payload(),
+        "records": [],
+    })[:-len(_JSON_TAIL)]
+
+
+def _record_json(r: CandidateRecord) -> str:
+    """One element of the report's "records" array."""
+    if r.murasugi is None:
+        hits = None
+    else:
+        hits = [{"q": h.q, "lam": h.lam, "shift": h.shift, "sign": h.sign,
+                 "quotient": list(h.quotient), "divides": h.divides}
+                for h in r.murasugi]
+    return _ENCODE({
+        "genus": r.candidate.genus,
+        "exponents": list(r.candidate.exponents),
+        "poly": format_poly(r.candidate.poly),
+        "factors": [{"coeffs": list(f), "mult": m,
+                     "cyclotomic": cyclotomic_tag(f)} for f, m in r.factors],
+        "cyclotomic_product": r.cyclotomic_product,
+        "e_gcd": r.e_gcd,
+        "hartley": {"finite": r.hartley.finite,
+                    "members": list(r.hartley.members),
+                    "rule": r.hartley.rule},
+        "murasugi": hits,
+    })
+
+
+def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
+               mode: BoundMode, filters: FilterConfig) -> None:
+    """Write the JSON report of survey(g_max, mode, filters) over records
+    to out, holding one record at a time; the text is that of
+    SurveyReport.to_json().
+
+    The aggregates come before the records and are known only after the
+    last one, so the records are encoded as they arrive into a temporary
+    spool file, which is copied to out after the head.
+    """
+    tally = SurveyTally()
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
+        for r in records:
+            if tally.candidates:
+                spool.write(",")
+            tally.add(r)
+            spool.write(_record_json(r))
+        out.write(_json_head(g_max, mode, filters.top_gap_1,
+                             filters.predicate is not None, tally))
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+    out.write(_JSON_TAIL)
+
+
+_CSV_HEADER = ("genus,exponents,poly,cyclotomic_product,e_gcd,"
+               "hartley_set,murasugi_screened,murasugi_hits,mode,top_gap_1")
+
+
+def _csv_line(r: CandidateRecord, mode: BoundMode, top_gap_1: bool) -> str:
+    hits = "" if r.murasugi is None else "; ".join(
+        f"q={h.q} lam={h.lam} shift={h.shift} sign={h.sign:+d}"
+        f" divides={h.divides}" for h in r.murasugi)
+    row = [str(r.candidate.genus),
+           " ".join(map(str, r.candidate.exponents)),
+           format_poly(r.candidate.poly),
+           str(r.cyclotomic_product).lower(),
+           "" if r.e_gcd is None else str(r.e_gcd),
+           str(r.hartley),
+           str(r.murasugi is not None).lower(),
+           hits,
+           mode.value,
+           str(top_gap_1).lower()]
+    return ",".join(f'"{cell}"' if "," in cell else cell for cell in row) + "\n"
+
+
+def write_csv(out: TextIO, records: Iterable[CandidateRecord],
+              mode: BoundMode, top_gap_1: bool) -> None:
+    """Write the CSV report over records to out, one row as each arrives;
+    the text is that of SurveyReport.to_csv()."""
+    out.write(_CSV_HEADER + "\n")
+    for r in records:
+        out.write(_csv_line(r, mode, top_gap_1))
 
 
 @dataclass(frozen=True)
@@ -291,102 +486,43 @@ class SurveyReport:
 
     # aggregate views ------------------------------------------------------
 
+    @cached_property
+    def tally(self) -> SurveyTally:
+        """The aggregates of records, gathered on first use."""
+        tally = SurveyTally()
+        for r in self.records:
+            tally.add(r)
+        return tally
+
     @property
     def counts(self) -> dict[str, int]:
-        cyclo = sum(1 for r in self.records if r.cyclotomic_product)
-        return {"candidates": len(self.records),
-                "cyclotomic_products": cyclo,
-                "noncyclotomic": len(self.records) - cyclo}
+        return self.tally.counts
 
     @property
     def hartley_exceptional(self) -> tuple[CandidateRecord, ...]:
-        return tuple(r for r in self.records if r.hartley_exceptional)
+        return tuple(self.tally.hartley_exceptional)
 
-    def murasugi_exceptional(self, q: int,
-                             require_divides: bool = True) -> tuple[CandidateRecord, ...]:
-        return tuple(r for r in self.records
-                     if r.murasugi_hit_at(q, require_divides))
+    def murasugi_exceptional(self, q: int) -> tuple[CandidateRecord, ...]:
+        """Records with a divides-qualified Murasugi hit at q."""
+        return tuple(self.tally.murasugi_exceptional.get(q, ()))
 
     def hit_qs(self) -> list[int]:
         """Sorted moduli q with at least one Murasugi hit in the report."""
-        qs: set[int] = set()
-        for r in self.records:
-            for h in r.murasugi or ():
-                qs.add(h.q)
-        return sorted(qs)
+        return self.tally.hit_qs()
 
     # serialization --------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        def ident(r: CandidateRecord) -> dict:
-            return {"genus": r.candidate.genus,
-                    "exponents": list(r.candidate.exponents)}
-
-        records = []
-        for r in self.records:
-            factors = [{"coeffs": list(f), "mult": m,
-                        "cyclotomic": cyclotomic_tag(f)}
-                       for f, m in r.factors]
-            hartley = {"finite": r.hartley.finite,
-                       "members": list(r.hartley.members),
-                       "rule": r.hartley.rule}
-            if r.murasugi is None:
-                hits = None
-            else:
-                hits = [{"q": h.q, "lam": h.lam, "shift": h.shift,
-                         "sign": h.sign, "quotient": list(h.quotient),
-                         "divides": h.divides} for h in r.murasugi]
-            records.append({"genus": r.candidate.genus,
-                            "exponents": list(r.candidate.exponents),
-                            "poly": format_poly(r.candidate.poly),
-                            "factors": factors,
-                            "cyclotomic_product": r.cyclotomic_product,
-                            "e_gcd": r.e_gcd,
-                            "hartley": hartley,
-                            "murasugi": hits})
-        return {
-            "version": SCHEMA_VERSION,
-            "config": {"g_max": self.g_max, "mode": self.mode.value,
-                       "rigorous": self.mode is BoundMode.RIGOROUS,
-                       "filters": {"top_gap_1": self.top_gap_1,
-                                   "custom_predicate": self.custom_filter}},
-            "aggregates": {
-                **self.counts,
-                "hartley_exceptional": [ident(r) for r in self.hartley_exceptional],
-                "murasugi_exceptional_by_q": {
-                    str(q): [ident(r) for r in self.murasugi_exceptional(q)]
-                    for q in self.hit_qs()},
-                "murasugi_bare_hits_by_q": {
-                    str(q): len(self.murasugi_exceptional(q, require_divides=False))
-                    for q in self.hit_qs()},
-            },
-            "records": records,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), separators=(",", ":"),
-                          ensure_ascii=True)
+        """The report as compact ASCII JSON, encoded record by record."""
+        head = _json_head(self.g_max, self.mode, self.top_gap_1,
+                          self.custom_filter, self.tally)
+        return "".join([head, ",".join(map(_record_json, self.records)),
+                        _JSON_TAIL])
 
     def to_csv(self) -> str:
-        lines = ["genus,exponents,poly,cyclotomic_product,e_gcd,"
-                 "hartley_set,murasugi_screened,murasugi_hits,mode,top_gap_1"]
-        for r in self.records:
-            hits = "" if r.murasugi is None else "; ".join(
-                f"q={h.q} lam={h.lam} shift={h.shift} sign={h.sign:+d}"
-                f" divides={h.divides}" for h in r.murasugi)
-            row = [str(r.candidate.genus),
-                   " ".join(map(str, r.candidate.exponents)),
-                   format_poly(r.candidate.poly),
-                   str(r.cyclotomic_product).lower(),
-                   "" if r.e_gcd is None else str(r.e_gcd),
-                   str(r.hartley),
-                   str(r.murasugi is not None).lower(),
-                   hits,
-                   self.mode.value,
-                   str(self.top_gap_1).lower()]
-            lines.append(",".join(
-                f'"{cell}"' if "," in cell else cell for cell in row))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        write_csv(buf, self.records, self.mode, self.top_gap_1)
+        return buf.getvalue()
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SurveyReport":
@@ -427,6 +563,32 @@ class SurveyReport:
         return cls.from_payload(json.loads(text))
 
 
+def survey_stream(g_max: int,
+                  mode: BoundMode = BoundMode.HEURISTIC,
+                  filters: Optional[FilterConfig] = None,
+                  jobs: int = 1,
+                  progress: Optional[Callable[[int, int], None]] = None
+                  ) -> Iterator[CandidateRecord]:
+    """The records of survey(), in its order, each as it is computed.
+
+    Candidates are enumerated and chunked lazily (listed first only when
+    filters has a predicate) and a pool holds a bounded window of chunks,
+    so memory does not grow with g_max as long as the caller does not keep
+    the records.  progress is as in survey().
+    """
+    filters = filters or FilterConfig()
+    # enumeration order is already (genus, exponents)
+    cands = enumerate_candidates(g_max, filters)
+    if filters.predicate is None:
+        total = _candidate_count(g_max, filters.top_gap_1)
+    else:
+        # only the predicate knows what it keeps
+        cands = list(cands)
+        total = len(cands)
+    return _ordered_map(partial(candidate_record, mode=mode), cands, total,
+                        jobs, progress)
+
+
 def survey(g_max: int,
            mode: BoundMode = BoundMode.HEURISTIC,
            filters: Optional[FilterConfig] = None,
@@ -438,10 +600,7 @@ def survey(g_max: int,
     processed chunk; it has no effect on the report.
     """
     filters = filters or FilterConfig()
-    cands = list(enumerate_candidates(g_max, filters))
-    # parallel_map keeps enumeration order, already (genus, exponents)
-    records = parallel_map(partial(candidate_record, mode=mode), cands, jobs,
-                           progress)
+    records = tuple(survey_stream(g_max, mode, filters, jobs, progress))
     return SurveyReport(g_max=g_max, mode=mode, top_gap_1=filters.top_gap_1,
                         custom_filter=filters.predicate is not None,
-                        records=tuple(records))
+                        records=records)

@@ -108,7 +108,9 @@ def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     exhaustive table.  All rest on theta^E = alpha with theta in Q(alpha):
     theta then has degree d, M(alpha) = M(theta)^E and
     house(alpha) = house(theta)^E; see the module docstring.  The Graeffe
-    iterates are built once for both numerators.
+    iterates are built once for both numerators, and the measure bound is
+    computed only for a term that uses it: never for a monic f above
+    degree 6.
     """
     d = f.degree
     if not isinstance(d, int) or d < 2:
@@ -117,11 +119,13 @@ def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     if cyclotomic_tag(f) is not None:
         raise ValueError("prime_bound is undefined for cyclotomic input")
     iterates = graeffe_iterates(f)
-    log_m = log_mahler_upper(f, iterates)
     if mode is BoundMode.HEURISTIC:
-        bound = math.floor(log_m / LEHMER_LOG2_LB)
+        bound = math.floor(log_mahler_upper(f, iterates) / LEHMER_LOG2_LB)
     else:
-        bound = house_bound(iterates) if f.lc == 1 else math.floor(log_m)
+        monic = f.lc == 1
+        log_m = (None if monic and d not in MIN_LOG2_TABLE
+                 else log_mahler_upper(f, iterates))
+        bound = house_bound(iterates) if monic else math.floor(log_m)
         if d in MIN_LOG2_TABLE:
             bound = min(bound, math.floor(log_m / MIN_LOG2_TABLE[d]))
     return max(1, bound)

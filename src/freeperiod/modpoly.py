@@ -258,16 +258,18 @@ def _frobenius(h: list[int], q: Frobenius, p: int) -> list[int]:
     return _unpack(sum(c * r for c, r in zip(h, rows)), w, len(rows), p)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _split_with_matrix(
     coeffs: tuple[int, ...], p: int
 ) -> tuple[list[tuple[list[int], int]], Frobenius | None]:
     """distinct_degree_split and the Frobenius rows of v it used (None
     below degree 2, where no degree needs a Frobenius step).
 
-    The last split is kept: zfactor's trace path asks for the degree
-    multiset of h mod p and then for has_nonsquare_factor on the same h,
-    which reuses it.  Callers must not mutate what it returns.
+    The last 8 splits are kept, a few KB each: zfactor's trace path asks
+    for the degree multiset of h mod p and then for has_nonsquare_factor on
+    the same h, and factor_over_z's probes of an inflation meet the splits
+    that hartley.power_index's degree_set_filter made of it a few calls
+    before.  Callers must not mutate what it returns.
     """
     v = list(coeffs)
     parts: list[tuple[list[int], int]] = []

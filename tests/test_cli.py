@@ -1,5 +1,6 @@
 """End-to-end command line behavior through click's test runner."""
 
+import hashlib
 import io
 import json
 import os
@@ -334,9 +335,25 @@ def test_survey_seed_and_jobs_do_not_change_output(runner):
 
 
 def test_survey_csv_prints_the_report_csv(runner):
-    res = runner.invoke(main, ["survey", "--max-genus", "4", "--csv"])
-    assert res.exit_code == 0
-    assert res.output == survey(4).to_csv()
+    for jobs in ("1", "2"):
+        res = runner.invoke(main, ["survey", "--max-genus", "4", "--csv",
+                                   "--jobs", jobs])
+        assert res.exit_code == 0
+        assert res.output == survey(4).to_csv()
+
+
+def test_streamed_survey_json_keeps_the_pinned_genus_9_hash(runner):
+    # the command line writes records as they arrive, through a pool at
+    # --jobs 2; the bytes are those of survey(9, RIGOROUS).to_json(), which
+    # tests/test_lspace.py and the benchmark pin
+    for jobs in ("1", "2"):
+        res = runner.invoke(main, ["survey", "--max-genus", "9", "--mode",
+                                   "rigorous", "--json", "--jobs", jobs])
+        assert res.exit_code == 0, res.output
+        assert res.output.endswith("}\n")
+        digest = hashlib.sha256(res.output[:-1].encode()).hexdigest()
+        assert digest == ("a6dc799bb62328ab0ca1847d2abd9145"
+                          "bb87d0993a4d584d6de47775198d6074")
 
 
 def test_survey_csv_and_json_together_is_a_usage_error(runner):

@@ -1,10 +1,14 @@
 """Candidate enumeration and the survey pipeline."""
 
+import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import tracemalloc
+from concurrent.futures import Future
 
 import pytest
 
@@ -13,6 +17,7 @@ from freeperiod import (
     Candidate,
     CandidateRecord,
     FilterConfig,
+    HartleySet,
     IntPoly,
     MurasugiHit,
     SurveyReport,
@@ -40,6 +45,7 @@ def test_counts_per_genus_and_total():
     assert len(cands) == 2 ** 8 - 1
     for g in range(1, 9):
         assert sum(c.genus == g for c in cands) == 2 ** (g - 1)
+    assert lspace._candidate_count(8, False) == len(cands)
 
 
 def test_candidate_invariants_exhaustive():
@@ -84,6 +90,7 @@ def test_top_gap_filter():
     assert all(c.top_gap == 1 for c in kept)
     # genus 1 has top gap 1 automatically; above that the filter halves
     assert [sum(c.genus == g for c in kept) for g in (1, 2, 3, 4)] == [1, 1, 2, 4]
+    assert lspace._candidate_count(4, True) == len(kept)
 
 
 def test_custom_predicate_filter():
@@ -92,6 +99,7 @@ def test_custom_predicate_filter():
     assert kept and all(c.poly[1] == 0 for c in kept)
     rep = survey(2, filters=FilterConfig(predicate=keep))
     assert rep.custom_filter and not rep.top_gap_1
+    assert len(rep.records) == sum(c.poly[1] == 0 for c in enumerate_candidates(2))
 
 
 # -- per-candidate factoring -----------------------------------------------
@@ -197,17 +205,19 @@ def test_parallel_map_caps_workers_at_the_cpu_count(monkeypatch):
 
     class RecordingPool:
         def __init__(self, max_workers, mp_context):
-            asked.append(max_workers)
+            asked.extend([max_workers, 0])
 
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            asked.append(len(chunks))
-            return map(fn, chunks)
+        def submit(self, fn, chunk):
+            asked[-1] += 1
+            done = Future()
+            done.set_result(fn(chunk))
+            return done
 
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(lspace, "ProcessPoolExecutor", RecordingPool)
+    # parallel_map imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     items = list(range(1000))
     assert parallel_map(abs, items, jobs=10**6) == items
     cpus = os.cpu_count() or 1
@@ -217,6 +227,56 @@ def test_parallel_map_caps_workers_at_the_cpu_count(monkeypatch):
         workers, chunks = asked
         # chunks are sized for the capped pool, eight per worker
         assert 2 <= workers <= cpus and chunks <= 8 * workers
+
+
+def test_pool_keeps_a_bounded_window_in_order_and_cancels_on_error(monkeypatch):
+    # futures run only when their result is read, so the stand-in sees
+    # how many chunks are submitted and not yet taken back
+    state = {"pending": 0, "most": 0, "submitted": 0, "cancelled": None}
+
+    class LazyFuture:
+        def __init__(self, fn, chunk):
+            self.fn, self.chunk = fn, chunk
+
+        def result(self):
+            state["pending"] -= 1
+            return self.fn(self.chunk)
+
+    class WindowPool:
+        def __init__(self, max_workers, mp_context):
+            state["workers"] = max_workers
+
+        def submit(self, fn, chunk):
+            state["submitted"] += 1
+            state["pending"] += 1
+            state["most"] = max(state["most"], state["pending"])
+            return LazyFuture(fn, chunk)
+
+        def shutdown(self, cancel_futures=False):
+            state["cancelled"] = cancel_futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    items = list(range(5000))
+    seen = []
+    out = lspace._ordered_map(abs, iter(items), len(items), 2,
+                              lambda done, total: seen.append(done))
+    assert list(out) == items
+    # chunks of 64, at most two per worker out at once
+    assert state["submitted"] == -(-5000 // 64) and state["most"] == 4
+    assert seen == sorted(seen) and seen[-1] == 5000
+
+    def fail_at(x):
+        if x in (700, 900):
+            raise ValueError(f"bad item {x}")
+        return x
+
+    state.update(submitted=0, pending=0, cancelled=None)
+    with pytest.raises(ValueError, match="bad item 700"):
+        parallel_map(fail_at, items, jobs=2)
+    # the error stops the submissions: 700 is in chunk 11, and the window
+    # runs four chunks ahead of the one being read
+    assert state["submitted"] <= 11 + 4 and state["cancelled"] is True
 
 
 @pytest.mark.parametrize("mode,expected", [
@@ -259,7 +319,7 @@ def test_survey_10_rigorous_golden_hash():
 def test_survey_mode_is_recorded():
     rep = survey(2, mode=BoundMode.RIGOROUS)
     assert rep.mode is BoundMode.RIGOROUS
-    cfg = rep.to_payload()["config"]
+    cfg = json.loads(rep.to_json())["config"]
     assert cfg["mode"] == "rigorous" and cfg["rigorous"] is True
 
 
@@ -284,9 +344,66 @@ def test_json_round_trip():
     assert SurveyReport.from_json(rep.to_json()) == rep
 
 
+def _report_with_exceptional_records():
+    """survey(5) with made-up outcomes on three non-cyclotomic records: a
+    Hartley-exceptional one, a divides-qualified Murasugi hit at q = 2 and
+    a bare hit at q = 3."""
+    rep = survey(5)
+    noncyclo = [i for i, r in enumerate(rep.records) if not r.cyclotomic_product]
+    hit = lambda q, divides: MurasugiHit(q=q, lam=1, quotient=IntPoly((1,)),
+                                         shift=0, sign=1, divides=divides)
+    records = list(rep.records)
+    a, b, c = noncyclo[:3]
+    records[a] = dataclasses.replace(
+        records[a], hartley=HartleySet(finite=True, members=(2,), rule=None))
+    records[b] = dataclasses.replace(records[b],
+                                     murasugi=(hit(2, True), hit(3, False)))
+    records[c] = dataclasses.replace(records[c], murasugi=(hit(3, False),))
+    return dataclasses.replace(rep, records=tuple(records)), (a, b, c)
+
+
+def test_record_by_record_json_is_the_one_shot_encoding():
+    ident = lambda r: {"genus": r.candidate.genus,
+                       "exponents": list(r.candidate.exponents)}
+    rep, (a, b, c) = _report_with_exceptional_records()
+    payload = json.loads(rep.to_json())
+    assert payload["aggregates"]["hartley_exceptional"] == [ident(rep.records[a])]
+    assert payload["aggregates"]["murasugi_exceptional_by_q"] == {
+        "2": [ident(rep.records[b])], "3": []}
+    assert payload["aggregates"]["murasugi_bare_hits_by_q"] == {"2": 1, "3": 2}
+    reports = [rep] + [survey(8, mode) for mode in BoundMode]
+    for rep in reports:
+        text = rep.to_json()
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
+        assert SurveyReport.from_json(text) == rep
+
+
+def test_streamed_report_writers_match_the_in_memory_report():
+    rep, _ = _report_with_exceptional_records()
+    out = io.StringIO()
+    lspace.write_json(out, iter(rep.records), rep.g_max, rep.mode,
+                      FilterConfig(top_gap_1=rep.top_gap_1))
+    assert out.getvalue() == rep.to_json()
+    out = io.StringIO()
+    lspace.write_csv(out, iter(rep.records), rep.mode, rep.top_gap_1)
+    assert out.getvalue() == rep.to_csv()
+
+
+def test_to_json_peak_memory_stays_near_the_output_size():
+    rep = survey(8)
+    tracemalloc.start()
+    try:
+        text = rep.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a payload tree of every record costs about 16 times the text
+    assert peak < 4 * len(text)
+
+
 def test_payload_shape():
     rep = survey(3)
-    payload = rep.to_payload()
+    payload = json.loads(rep.to_json())
     assert payload["version"] == 1
     assert payload["config"]["g_max"] == 3
     assert payload["aggregates"]["candidates"] == 7
@@ -299,7 +416,7 @@ def test_payload_shape():
 
 
 def test_rejects_unknown_report_version():
-    payload = survey(2).to_payload()
+    payload = json.loads(survey(2).to_json())
     payload["version"] = 99
     with pytest.raises(ValueError, match="unsupported report version"):
         SurveyReport.from_payload(payload)

@@ -3,10 +3,23 @@
 For Delta = sign * t^k * prod f_i^{a_i} (irreducible f_i), the question
 "does Delta(t^n) split as +-prod_{i<n} g(zeta_n^i t)" reduces to prime-wise
 cap conditions: v_p(n) <= cap(p) = min_i (v_p(a_i) + s_i(p)), where s_i(p)
-is v_p(E_i) for a non-cyclotomic factor with power invariant E_i, infinity
-for Phi_m with p not dividing m, and 0 for Phi_m with p | m.  E_i itself is
-computed by the power test: alpha is an m-th power in Q(alpha) exactly when
-f(t^m) has an irreducible integer factor of degree deg f.
+is v_p(E_i) for a non-cyclotomic factor with power invariant E_i, no cap
+(None) for Phi_m with p not dividing m, and 0 for Phi_m with p | m.  E_i
+itself is computed by the power test: alpha is an m-th power in Q(alpha)
+exactly when f(t^m) has an irreducible integer factor of degree deg f.
+
+The power test answers positives with a root (nfroot.power_root): an h
+with h^m = x modulo f, found by q-adic lifting and verified exactly, is
+the certificate that alpha = h(alpha)^m.  power_index tries it on every
+level the residue screen passes, and the E certification asks for an
+E-th root.  A witness factor, the least degree-(deg f) factor of f(t^m),
+is then the minimal polynomial g of h(alpha), or for even m the lesser
+of g(t) and (-1)^(deg f) g(-t) (the minimal polynomial of -h(alpha)).
+That rule needs Q(alpha) to hold no m-th root of unity but +-1, which an
+odd degree or one residue field F_(q^d) with gcd(m, q^d - 1) <= 2 proves.
+Whenever the root path gives no answer (no root found, or the roots of
+unity not settled), the inflation f(t^m) is factored as before, and that
+factoring alone decides negatives the screen lets through.
 
 Witness verification never touches algebraic numbers: the product over the
 rotations g(zeta^i t) equals ((-1)^(n-1))^(deg g) * R(t^n) with
@@ -25,7 +38,8 @@ import numpy as np
 
 from .cyclotomic import (
     cyclotomic, cyclotomic_tag, divisors, euler_phi, factorint, iroot, v_p)
-from .intpoly import IntPoly, content_primitive, trace_reduce
+from .intpoly import (
+    IntPoly, content_primitive, elementary_symmetric, power_sums_monic, trace_reduce)
 from .mahler import BoundMode, prime_bound
 from .modpoly import (
     gfp_deriv,
@@ -34,10 +48,8 @@ from .modpoly import (
     next_prime,
     reduce_mod_p,
 )
+from .nfroot import minimal_polynomial, power_root, roots_of_unity_are_signs
 from .zfactor import _FACTOR_CACHE_SIZE, degree_set_filter, factor_over_z
-
-INF = math.inf
-
 
 # -- E values --------------------------------------------------------------
 
@@ -254,19 +266,44 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
 def _inflation_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
     """Lexicographically least irreducible factor of f(t^k) of degree deg f,
     or None; one exists exactly when the root of f is a k-th power in its
-    field."""
+    field.  The fallback of the root path, and the decider of negatives."""
     cands = [g for g, _ in factor_over_z(f.inflate(k)).factors if g.degree == f.degree]
     return min(cands, key=lambda g: g.coeffs, default=None)
+
+
+def _root_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
+    """_inflation_factor(f, k) from a verified k-th root, or None when the
+    root path cannot give it.
+
+    The degree-d factors of f(t^k), d = deg f, are the minimal polynomials
+    of the k-th roots of alpha that lie in Q(alpha): zeta beta for the k-th
+    roots of unity zeta in Q(alpha).  When those are provably only +-1
+    (nfroot.roots_of_unity_are_signs: an odd d, or a residue field
+    F_(q^(d_i)) with q not dividing k and gcd(k, q^(d_i) - 1) <= 2), the
+    factors are g(t), the minimal polynomial of beta, and, for even k,
+    (-1)^d g(-t), that of -beta.
+    """
+    root = power_root(f, k)
+    if root is None or not roots_of_unity_are_signs(f, k, root):
+        return None
+    d = f.degree
+    g = minimal_polynomial(f, root)
+    if k % 2:
+        return g
+    return min(g, IntPoly(tuple((-1) ** (d - i) * c for i, c in enumerate(g.coeffs))),
+               key=lambda w: w.coeffs)
 
 
 def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     """Largest r with f(t^(p^r)) having an integer factor of degree deg f.
 
     Monotone in r (a p^(r+1)-th power is a p^r-th power), so the loop stops
-    at the first failure.  Each level tries the cheap sound rejections
-    (the power-residue screen _power_residue_rejects with the single entry
-    p^r, then mod-p factor degree sums) before committing to a full
-    factorization.  Requires f irreducible, primitive, non-cyclotomic,
+    at the first failure.  Each level first tries the sound rejection of
+    the power-residue screen _power_residue_rejects with the single entry
+    p^r; a level it passes is settled by a verified p^r-th root
+    (nfroot.power_root) when the lift finds one, and otherwise by the
+    mod-p factor degree sums and then a full factorization of the
+    inflation.  Requires f irreducible, primitive, non-cyclotomic,
     degree >= 2; cyclotomic f raises ValueError, because Phi_m(t^(p^r))
     has the factor Phi_m at every r when p does not divide m, and the
     unbounded loop would never stop.
@@ -282,9 +319,9 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
         pr = p**rn
         if _power_residue_rejects(f, {pr: _screen_tries(pr)}):
             break
-        if not degree_set_filter(f.inflate(pr), d, trials=2):
-            break
-        if _inflation_factor(f, pr) is None:
+        if power_root(f, pr) is None and (
+                not degree_set_filter(f.inflate(pr), d, trials=2)
+                or _inflation_factor(f, pr) is None):
             break
         r = rn
     return r
@@ -298,8 +335,9 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
 
     Cyclotomic factors get the zero marker; degree 1 goes through rational
     arithmetic; otherwise E multiplies p^power_index(f, p) over primes up
-    to the Mahler prime bound and the result is certified by re-checking
-    that f(t^E) has a factor of degree deg f.  One batched residue screen
+    to the Mahler prime bound and the result is certified by a verified
+    E-th root of the root of f (nfroot.power_root), or failing that by a
+    factor of degree deg f of f(t^E).  One batched residue screen
     first tests every such p at level 1, and power_index runs only for the
     p it does not reject (r = 0 for the rest).
     """
@@ -327,7 +365,7 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
         while p ** (max_r + 1) <= bound:
             max_r += 1
         e *= p ** power_index(f, p, max_r=max_r)
-    if e > 1 and _inflation_factor(f, e) is None:
+    if e > 1 and power_root(f, e) is None and _inflation_factor(f, e) is None:
         raise AssertionError(f"E certification failed for {f} at E={e}")
     return EValue.finite(e)
 
@@ -341,7 +379,9 @@ class HartleyProfile:
 
     caps holds the primes whose cap differs from default_cap; default_cap
     is 0 when a non-cyclotomic factor is present (finitely many n) and
-    infinity for pure cyclotomic products.  factor_data keeps the
+    None, no cap, for pure cyclotomic products.  Every cap in caps is an
+    integer: each listed prime divides a cyclotomic order or some a_i E_i,
+    and that factor bounds it.  factor_data keeps the
     (factor, multiplicity, EValue) triples for audit; t_power records a
     stripped power of t (no constraint: t^n = +-prod zeta^i t).
     e_gcd_literal is gcd(a_i E_i) over non-cyclotomic factors (0 if none),
@@ -349,8 +389,8 @@ class HartleyProfile:
     non-cyclotomic input.
     """
 
-    caps: tuple[tuple[int, float], ...]
-    default_cap: float
+    caps: tuple[tuple[int, int], ...]
+    default_cap: Optional[int]
     factor_data: tuple[tuple[IntPoly, int, EValue], ...]
     t_power: int
     e_gcd_literal: int
@@ -362,14 +402,15 @@ class HartleyProfile:
             return None
         out = 1
         for p, c in self.caps:
-            out *= p ** int(c)
+            out *= p**c
         return out
 
 
-def _s_value(ev: EValue, p: int) -> float:
-    """s_i(p): v_p(E) for non-cyclotomic; infinity/0 for Phi_m by p | m."""
+def _s_value(ev: EValue, p: int) -> Optional[int]:
+    """s_i(p): v_p(E) for non-cyclotomic; None (no cap) or 0 for Phi_m by
+    whether p divides m."""
     if ev.is_cyclotomic:
-        return 0 if ev.cyclotomic_order % p == 0 else INF
+        return 0 if ev.cyclotomic_order % p == 0 else None
     return v_p(ev.e, p)
 
 
@@ -383,18 +424,17 @@ def profile_from_factors(
     for f, a in factors:
         data.append((f, a, e_of_irreducible(f, mode)))
     noncyclo = [(f, a, ev) for f, a, ev in data if not ev.is_cyclotomic]
-    default_cap: float = 0 if noncyclo else INF
+    default_cap = 0 if noncyclo else None
     candidates: set[int] = set()
     for f, a, ev in data:
         if ev.is_cyclotomic:
             candidates.update(factorint(ev.cyclotomic_order).keys() if ev.cyclotomic_order > 1 else [])
         else:
             candidates.update(factorint(a * ev.e).keys())
-    caps: list[tuple[int, float]] = []
+    caps: list[tuple[int, int]] = []
     for p in sorted(candidates):
-        c: float = INF
-        for f, a, ev in data:
-            c = min(c, v_p(a, p) + _s_value(ev, p))
+        c = min((v_p(a, p) + s for _, a, ev in data
+                 if (s := _s_value(ev, p)) is not None), default=None)
         if c != default_cap:
             caps.append((p, c))
     e_gcd = math.gcd(*(a * ev.e for _, a, ev in noncyclo)) if noncyclo else 0
@@ -473,7 +513,7 @@ def hartley_set(profile: HartleyProfile, limit: int = 100) -> HartleySet:
         parts.append(f"gcd(n, {math.prod(zero_caps)}) = 1")
     for p, c in profile.caps:
         if c != 0:
-            parts.append(f"v_{p}(n) <= {int(c)}")
+            parts.append(f"v_{p}(n) <= {c}")
     rule = " and ".join(parts) if parts else "all n"
     members = tuple(n for n in range(2, limit + 1) if is_n_hartley(profile, n))
     return HartleySet(finite=False, members=members, rule=rule)
@@ -490,20 +530,6 @@ class WitnessCertificate:
     witness: IntPoly
     sign: int
     verified: bool
-
-
-def _power_sums_monic(coeffs: tuple[int, ...], upto: int) -> list[int]:
-    """Newton power sums s_0..s_upto (s_0 unused) of a monic integer polynomial."""
-    d = len(coeffs) - 1
-    s = [0] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = 0
-        for j in range(1, min(k, d) + 1):
-            acc += coeffs[d - j] * s[k - j]
-        if k <= d:
-            acc += k * coeffs[d - k]
-        s[k] = -acc
-    return s
 
 
 # power sums one rotation product may build: d * n of them, which for a
@@ -561,16 +587,8 @@ def rotation_product_deflated(g: IntPoly, n: int) -> IntPoly:
         raise ValueError(f"witness verification at degree {d}, n = {n} needs"
                          f" {d * n} power sums, over {VERIFY_POWER_SUMS}")
     monic = tuple(c * lc ** (d - 1 - i) for i, c in enumerate(g.coeffs[:d])) + (1,)
-    s = _power_sums_monic(monic, d * n)
-    pows = [s[k * n] for k in range(1, d + 1)]
-    e: list[int] = [1] + [0] * d
-    for j in range(1, d + 1):
-        acc = 0
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * e[j - i] * pows[i - 1]
-        q, rem = divmod(acc, j)
-        assert rem == 0
-        e[j] = q
+    s = power_sums_monic(monic, d * n)
+    e = elementary_symmetric([s[k * n] for k in range(1, d + 1)])
     out = []
     for j in range(d + 1):
         val, rem = divmod((-1) ** j * e[j] * lc**n, lc ** (n * j))
@@ -618,7 +636,8 @@ def construct_witness(
     """Build and verify a witness g for an n-Hartley delta.
 
     Per irreducible-power factor f^a: with s the matched part of n, a
-    degree-(deg f) irreducible factor w of f(t^s) exists; its inflation
+    degree-(deg f) irreducible factor w of f(t^s) exists, the least one
+    (from an s-th root by _root_factor, else by factoring); its inflation
     w(t^(n/s)) raised to a*s/n (an integer by the cap condition) is the
     factor's contribution.  Cyclotomic factors take the closed-form route:
     the degree-phi(m) factors of Phi_m(t^s) are Phi_m and, for odd m and
@@ -639,7 +658,7 @@ def construct_witness(
                 cands.append(cyclotomic(2 * m))
             w = min(cands, key=lambda c: c.coeffs)
         else:
-            w = _inflation_factor(f, s)
+            w = _root_factor(f, s) or _inflation_factor(f, s)
             if w is None:
                 raise AssertionError(f"guaranteed degree-{f.degree} factor missing for {f}")
         g = g * w.inflate(n // s) ** exp

@@ -310,6 +310,37 @@ def graeffe(f: IntPoly) -> IntPoly:
     return IntPoly(tuple(out))
 
 
+# -- symmetric functions of the roots ---------------------------------------
+
+
+def power_sums_monic(coeffs: Sequence[int], upto: int) -> list[int]:
+    """Newton power sums s_0..s_upto (s_0 unused) of the roots of a monic
+    integer polynomial, coefficients ascending."""
+    d = len(coeffs) - 1
+    s = [0] * (upto + 1)
+    for k in range(1, upto + 1):
+        acc = 0
+        for j in range(1, min(k, d) + 1):
+            acc += coeffs[d - j] * s[k - j]
+        if k <= d:
+            acc += k * coeffs[d - k]
+        s[k] = -acc
+    return s
+
+
+def elementary_symmetric(pows: Sequence[int]) -> list[int]:
+    """e_0..e_d of d algebraic integers from their power sums p_1..p_d,
+    by Newton's identities j e_j = sum_(i <= j) (-1)^(i-1) e_(j-i) p_i;
+    the divisions are exact because the e_j are integers."""
+    e = [1]
+    for j in range(1, len(pows) + 1):
+        q, rem = divmod(sum((-1) ** (i - 1) * e[j - i] * pows[i - 1]
+                            for i in range(1, j + 1)), j)
+        assert rem == 0
+        e.append(q)
+    return e
+
+
 # -- trace polynomials -----------------------------------------------------
 
 

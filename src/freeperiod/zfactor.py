@@ -496,8 +496,9 @@ def factor_over_z(f: IntPoly) -> FactoredPoly:
     rest squarefree (see the module docstring).  Factors are primitive, positive-lc,
     pairwise distinct, sorted by (degree, coefficients).  Memoized: the
     profile, the E certification, the witness and the Murasugi divides
-    flags all ask about the same Delta and the same inflations, and the
-    frozen result is safe to share.
+    flags all ask about the same Delta and the same inflations (those the
+    root path of hartley leaves to factoring), and the frozen result is
+    safe to share.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")

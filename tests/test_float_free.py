@@ -1,4 +1,5 @@
-"""The library decides in integers: no float function of math or cmath.
+"""The library decides in integers: no float function or float constant of
+math or cmath (math.inf included: "no cap" is None, not infinity).
 
 Every module of the package is parsed, not imported, so the check sees
 code on every path, including ones no other test reaches.
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import freeperiod
 
-FLOAT_MATH = {"log", "exp", "sqrt", "pi"}
+FLOAT_MATH = {"log", "exp", "sqrt", "pi", "inf"}
 
 
 class _FloatUses(ast.NodeVisitor):
@@ -57,6 +58,13 @@ def _float_uses(name: str, source: str):
 def test_scanner_flags_a_planted_float():
     planted = "import math\n\ndef bound(d):\n    return math.log(d)\n"
     assert _float_uses("planted.py", planted) == [("planted.py", ("bound",), 4, "math.log")]
+
+
+def test_scanner_flags_the_infinity_sentinel():
+    planted = "import math\nfrom math import inf\n\nNO_CAP = math.inf\n"
+    assert _float_uses("planted.py", planted) == [
+        ("planted.py", (), 2, "from math import ['inf']"),
+        ("planted.py", (), 4, "math.inf")]
 
 
 def test_no_float_math_in_the_package():

@@ -35,9 +35,6 @@ from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
 
-INF = float("inf")
-
-
 # -- rational roots --------------------------------------------------------
 
 
@@ -307,8 +304,8 @@ def _cap(prof, p):
 
 def test_profile_cyclotomic_coprimality():
     prof = hartley_profile(cyclotomic(6))
-    assert prof.default_cap == INF
-    assert _cap(prof, 2) == 0 and _cap(prof, 3) == 0 and _cap(prof, 5) == INF
+    assert prof.default_cap is None
+    assert _cap(prof, 2) == 0 and _cap(prof, 3) == 0 and _cap(prof, 5) is None
     for n in range(2, 40):
         assert is_n_hartley(prof, n) == (math.gcd(n, 6) == 1)
 

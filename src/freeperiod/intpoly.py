@@ -283,6 +283,34 @@ def content_primitive(f: IntPoly) -> tuple[int, IntPoly, int]:
     return c, pp, sign
 
 
+def pseudo_rem(a: IntPoly, f: IntPoly) -> tuple[IntPoly, int]:
+    """(r, e) with lc(f)^e a = r modulo f in Z[t], deg r < deg f and
+    0 <= e <= deg a - deg f + 1, for f nonzero.
+
+    Pseudo-division that scales lazily: an elimination step whose top
+    coefficient lc(f) does not divide scales the remainder by lc(f) first,
+    so a monic f never scales and e = 0.
+
+    >>> pseudo_rem(IntPoly((1, 0, 1)), IntPoly((1, 2)))  # 4 (t^2 + 1) = (2t - 1)(2t + 1) + 5
+    (IntPoly((5,)), 2)
+    """
+    d, lc = len(f.coeffs) - 1, f.lc
+    c = list(a.coeffs)
+    e = 0
+    for j in range(len(c) - 1, d - 1, -1):
+        top = c[j]
+        if not top:
+            continue
+        if top % lc:
+            c = [x * lc for x in c[: j + 1]]
+            e += 1
+            top *= lc
+        quo = top // lc
+        for i, x in enumerate(f.coeffs):
+            c[j - d + i] -= quo * x
+    return IntPoly(tuple(c[:d])), e
+
+
 def graeffe(f: IntPoly) -> IntPoly:
     """Root squaring: the polynomial whose roots are the squares of f's.
 

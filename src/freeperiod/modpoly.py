@@ -4,13 +4,17 @@ Coefficient vectors are plain Python lists of residues in [0, m), ascending,
 trimmed.  That is the contract of every kernel here, and the packed
 products below rely on it: a slot sized for residues would carry into its
 neighbour on a larger input.  gfp_mul, gfp_add, gfp_sub, gfp_divmod,
-gfp_mod and gfp_monic take any modulus m, as long as every divisor (and
-every input to gfp_monic) has a leading coefficient that is a unit mod m;
-Hensel lifting and Zassenhaus recombination run on them with m = p^l.  Everything else (gcds, powmod,
-derivative, evaluation, the distinct- and equal-degree splits) needs m
-prime.  All arithmetic is on Python integers.  gfp_mul is one Kronecker
-product (each operand packed into one integer, one multiply, one unpack)
-at every size and modulus, and gfp_divmod one schoolbook loop.  The
+gfp_mod, gfp_monic and the quotient ring Quotient take any modulus m, as
+long as every divisor (and every input to gfp_monic, every Quotient
+modulus) has a leading coefficient that is a unit mod m; Hensel lifting,
+Zassenhaus recombination and nfroot's q-adic lift run on them with
+m = p^l.  Everything else (gcds, derivative, evaluation, the distinct-
+and equal-degree splits) needs m prime.  All arithmetic is on Python
+integers.  gfp_mul is one Kronecker product (each operand packed into one
+integer, one multiply, one unpack) at every size and modulus, and
+gfp_divmod one schoolbook loop.  Quotient.reduce is the one fold of a
+packed product modulo u, through packed rows x^(n+i) mod u; Quotient's
+products and powers and the Frobenius rows below are built on it.  The
 distinct-degree split uses the Frobenius map h -> h^p, which is
 F_p-linear: it packs each row x^(ip) mod v into one integer once per
 input (the rows of Berlekamp's Q-matrix) and then advances one degree as
@@ -186,18 +190,6 @@ def gfp_sub(a: list[int], b: list[int], m: int) -> list[int]:
     return _trim(out)
 
 
-def gfp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """a^e reduced modulo mod, in F_p[t]."""
-    result = [1]
-    base = gfp_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = gfp_mod(gfp_mul(result, base, p), mod, p)
-        base = gfp_mod(gfp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
 def gfp_deriv(a: list[int], p: int) -> list[int]:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
@@ -214,6 +206,67 @@ def reduce_mod_p(coeffs, p: int) -> list[int]:
     return _trim([c % p for c in coeffs])
 
 
+# -- the quotient ring (Z/m)[x]/(u) ----------------------------------------
+
+
+class Quotient:
+    """(Z/m)[x]/(u) for u of degree n >= 1 with a unit leading coefficient.
+
+    Elements are residue lists of length <= n.  A product is one packed
+    multiply (gfp_mul's Kronecker slots) whose slots above degree n - 1
+    fold back through the packed rows x^(n+i) mod u (reduce), so a
+    reduction costs O(n) big-integer operations instead of a division's
+    O(n^2).  The rows are built as far as the largest spill seen.  Slots
+    of w = 2 bitlen(m - 1) + bitlen(2n) bits hold the up to 2n - 1
+    products of residues that a folded slot sums.
+
+    >>> R = Quotient([1, 1, 1], 5)  # F_5[x]/(x^2 + x + 1)
+    >>> R.mul([0, 1], [0, 1]), R.pow([0, 1], 3)
+    ([4, 4], [1])
+    """
+
+    def __init__(self, u: list[int], m: int):
+        n = len(u) - 1
+        self.m, self.n = m, n
+        self.w = 2 * (m - 1).bit_length() + (2 * n).bit_length()
+        inv = pow(u[-1], -1, m)
+        self._first = self._next = [-c * inv % m for c in u[:n]]  # x^n mod u
+        self._rows: list[int] = []  # x^(n+i) mod u, packed
+
+    def reduce(self, c: int, spill: int) -> list[int]:
+        """The residues modulo u of the packed c, whose top slot is
+        n - 1 + spill: the spill slots above n - 1 times their rows,
+        added to the n slots below."""
+        n, w, m = self.n, self.w, self.m
+        if spill <= 0:
+            return _unpack(c, w, n, m)
+        rows = self._rows
+        while len(rows) < spill:
+            row = self._next
+            rows.append(_pack(row, w))
+            top = row[-1]
+            self._next = [(r + top * f) % m for r, f in zip([0] + row[:-1], self._first)]
+        high = _unpack(c >> n * w, w, spill, m)
+        c &= (1 << n * w) - 1
+        return _unpack(c + sum(h * r for h, r in zip(high, rows)), w, n, m)
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        if not a or not b:
+            return []
+        w = self.w
+        return self.reduce(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1 - self.n)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        out = [1]
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
+
+
 # -- distinct-degree, equal-degree ----------------------------------------
 
 
@@ -222,33 +275,22 @@ Frobenius = tuple[int, list[int]]
 
 
 def _frobenius_rows(v: list[int], p: int) -> Frobenius:
-    """The rows x^(i p) mod v for i < n = deg v, packed for _frobenius.
+    """The rows x^(i p) mod v for i < n = deg v, n >= 2, packed for
+    _frobenius with the slots of Quotient(v, p).
 
-    Row i is row i-1 times x^p mod v, one packed product.  With
-    m = deg(x^p mod v), which is p itself when p < n, that product spills
-    m coefficients past degree n - 1; they fold back through a table of
-    x^(n+k) mod v for k < m, so each row costs O(m) packed operations and
-    one unpack.  Slots of w = 2 bitlen(p - 1) + bitlen(2n) bits hold the
-    up to n + m products of residues that a folded slot sums.
+    Row i is row i-1 times x^p mod v, one packed product that spills
+    s = deg(x^p mod v) slots past degree n - 1 (s = p when p < n);
+    Quotient.reduce folds them back, so a row costs O(s) packed
+    operations and one unpack.
     """
     n = len(v) - 1
-    w = 2 * (p - 1).bit_length() + (2 * n).bit_length()
-    xp = gfp_powmod([0, 1], p, v, p)
-    low = v[:n]
-    spill = []
-    row = [-c % p for c in low]  # x^n mod v
-    for _ in range(len(xp) - 1):
-        spill.append(_pack(row, w))
-        top = row[-1]
-        row = [(r - top * c) % p for r, c in zip([0] + row[:-1], low)]
-    packed_xp, shift, low_mask = _pack(xp, w), n * w, (1 << n * w) - 1
+    R = Quotient(v, p)
+    xp = R.pow([0, 1], p)
+    packed_xp, spill = _pack(xp, R.w), len(xp) - 1
     rows = [1]
     for _ in range(1, n):
-        c = rows[-1] * packed_xp
-        high = _unpack(c >> shift, w, len(spill), p)
-        acc = (c & low_mask) + sum(ck * sk for ck, sk in zip(high, spill))
-        rows.append(_pack(_unpack(acc, w, n, p), w))
-    return w, rows
+        rows.append(_pack(R.reduce(rows[-1] * packed_xp, spill), R.w))
+    return R.w, rows
 
 
 def _frobenius(h: list[int], q: Frobenius, p: int) -> list[int]:
@@ -312,11 +354,11 @@ def _half_power(
     k log2(p) squarings.  Reducing a multiple of u's Frobenius image
     modulo u gives u's own.
     """
-    b = gfp_powmod(a, (p - 1) // 2, u, p)
-    out = img = b
+    R = Quotient(u, p)
+    out = img = R.pow(gfp_mod(a, u, p), (p - 1) // 2)
     for _ in range(k - 1):
         img = gfp_mod(_frobenius(img, q, p), u, p)
-        out = gfp_mod(gfp_mul(out, img, p), u, p)
+        out = R.mul(out, img)
     return out
 
 

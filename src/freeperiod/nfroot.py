@@ -5,8 +5,9 @@ exactly when some h in Q[x] of degree < deg f has h^k = x modulo f; then
 beta = h(alpha) is a k-th root of alpha.  power_root looks for h without
 factoring f(t^k):
 
-1. Pick a small odd prime q dividing none of k, lc(f) and f(0), with f mod
-   q squarefree.  Then Z_q[x]/(f) is a product of unramified rings whose
+1. Walk zfactor.good_primes(f), the odd primes q not dividing lc(f) with
+   f mod q squarefree, past those dividing k f(0), PRIME_TRIES of them at
+   most.  At such q, Z_q[x]/(f) is a product of unramified rings whose
    residue fields F_q[x]/(f_i), one per irreducible factor f_i of f mod q,
    have order q^(d_i), and x is a unit in each.
 2. Take k-th roots of x in each field.  The k-th roots of a k-th power
@@ -33,7 +34,9 @@ a failed lift does not show that alpha is not a k-th power.
 minimal_polynomial turns a root into the minimal polynomial of h(alpha)
 from exact power sums in Q[x]/(f), and roots_of_unity_are_signs decides
 from residue degrees when the k-th roots of unity in Q(alpha) are only
-+-1.  Everything is on Python integers.
++-1.  The arithmetic is the package's: modpoly's quotient ring Quotient
+at q and at q^(2^j), and intpoly.pseudo_rem for the exact identities in
+Z[x].
 """
 
 from __future__ import annotations
@@ -41,29 +44,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Optional
+from itertools import islice, product
+from typing import Iterator, Optional
 
 from .cyclotomic import factorint, v_p
-from .intpoly import IntPoly, elementary_symmetric, power_sums_monic
+from .intpoly import IntPoly, elementary_symmetric, power_sums_monic, pseudo_rem
 from .modpoly import (
-    _pack,
-    _unpack,
+    Quotient,
     distinct_degree_split,
     factor_squarefree_mod_p,
     gfp_add,
-    gfp_deriv,
     gfp_divmod,
     gfp_extgcd,
-    gfp_gcd,
     gfp_mod,
     gfp_monic,
     gfp_mul,
     gfp_sub,
-    next_prime,
     reduce_mod_p,
 )
-from .zfactor import _FACTOR_CACHE_SIZE
+from .zfactor import _FACTOR_CACHE_SIZE, gcd_z, good_primes
 
 # primes q examined for the lift, and the root combinations one q may
 # leave to it
@@ -85,50 +84,7 @@ class KthRoot:
     degrees: tuple[int, ...]
 
 
-# -- arithmetic in (Z/m)[x]/(u) --------------------------------------------
-
-
-class _Quotient:
-    """(Z/m)[x]/(u) for u of degree n >= 1 with a unit leading coefficient.
-
-    Elements are residue lists of length <= n, as in modpoly.  A product
-    is one packed multiply (modpoly's Kronecker slots) whose n - 1 slots
-    above degree n - 1 fold back through the packed rows x^(n+i) mod u, so
-    a reduction costs O(n) big-integer operations instead of a division's
-    O(n^2).  Slots of 2 bitlen(m - 1) + bitlen(2n) bits hold the up to
-    2n - 1 products of residues that a folded slot sums.
-    """
-
-    def __init__(self, u: list[int], m: int):
-        n = len(u) - 1
-        self.m, self.n = m, n
-        self.w = w = 2 * (m - 1).bit_length() + (2 * n).bit_length()
-        inv = pow(u[-1], -1, m)
-        first = [-c * inv % m for c in u[:n]]  # x^n mod u
-        row, self.rows = first, []
-        for _ in range(n - 1):
-            self.rows.append(_pack(row, w))
-            top = row[-1]
-            row = [(r + top * c) % m for r, c in zip([0] + row[:-1], first)]
-
-    def mul(self, a: list[int], b: list[int]) -> list[int]:
-        if not a or not b:
-            return []
-        n, w = self.n, self.w
-        c = _pack(a, w) * _pack(b, w)
-        high = _unpack(c >> n * w, w, n - 1, self.m)
-        c &= (1 << n * w) - 1
-        return _unpack(c + sum(h * r for h, r in zip(high, self.rows)), w, n, self.m)
-
-    def pow(self, a: list[int], e: int) -> list[int]:
-        out = [1]
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return out
+# -- the residue fields ----------------------------------------------------
 
 
 def _element(t: int, q: int) -> list[int]:
@@ -140,7 +96,7 @@ def _element(t: int, q: int) -> list[int]:
     return out
 
 
-def _log(b: list[int], z: list[int], order: int, F: _Quotient) -> int:
+def _log(b: list[int], z: list[int], order: int, F: Quotient) -> int:
     """j with z^j = b, for z of the given order and b a power of z
     (Pohlig-Hellman: one base-p digit per step in each Sylow part, and
     the Chinese remainder theorem across them)."""
@@ -164,7 +120,7 @@ def _log(b: list[int], z: list[int], order: int, F: _Quotient) -> int:
     return j
 
 
-def _subgroup_generator(F: _Quotient, q: int, n: int, t: int, primes: list[int]) -> list[int]:
+def _subgroup_generator(F: Quotient, q: int, n: int, t: int, primes: list[int]) -> list[int]:
     """A generator of the cyclic subgroup of order t of the field F with n + 1
     elements, t made of the given primes: w^(n/t) for the first w (in the
     order of _element) for which it has order t.  When t divides q - 1 the
@@ -196,7 +152,7 @@ def field_roots(a: list[int], k: int, u: list[int], q: int) -> list[list[int]]:
     is a root.  The roots are that root times the g-th roots of unity, the
     powers of z^(t/g).
     """
-    F = _Quotient(u, q)
+    F = Quotient(u, q)
     n = q ** (len(u) - 1) - 1
     g = math.gcd(k, n)
     primes = list(factorint(g))
@@ -220,16 +176,18 @@ def field_roots(a: list[int], k: int, u: list[int], q: int) -> list[list[int]]:
 # -- choosing q ------------------------------------------------------------
 
 
+def _primes(f: IntPoly, k: int) -> Iterator[int]:
+    """The primes of zfactor.good_primes(f) that divide neither k nor f(0)."""
+    return (q for q in good_primes(f) if k * f[0] % q)
+
+
 def _splitting(f: IntPoly, k: int, q: int):
-    """(blocks, choices) at the prime q, or None when f mod q is not
-    squarefree: blocks is the distinct-degree split of f mod q (pairs
-    (product of the degree-D factors, D)), choices the number of root
-    combinations it leaves, prod gcd(k, q^D - 1) over the factors, halved
-    for even k (see _pieces)."""
-    fbar = gfp_monic(reduce_mod_p(f.coeffs, q), q)
-    if len(gfp_gcd(fbar, gfp_deriv(fbar, q), q)) != 1:
-        return None
-    blocks = distinct_degree_split(fbar, q)
+    """(blocks, choices) at a prime q of _primes: blocks is the
+    distinct-degree split of f mod q (pairs (product of the degree-D
+    factors, D)), choices the number of root combinations it leaves,
+    prod gcd(k, q^D - 1) over the factors, halved for even k (see
+    _pieces)."""
+    blocks = distinct_degree_split(gfp_monic(reduce_mod_p(f.coeffs, q), q), q)
     choices = math.prod(math.gcd(k, q**D - 1) ** ((len(v) - 1) // D) for v, D in blocks)
     return blocks, choices // (2 - k % 2)
 
@@ -249,7 +207,7 @@ def _pieces(blocks, k: int, q: int) -> list[tuple[list[int], list[list[int]]]]:
     for v, D in blocks:
         n = q**D - 1
         if math.gcd(k, n) == 1:
-            pieces.append((v, [_Quotient(v, q).pow(gfp_mod([0, 1], v, q), pow(k, -1, n))]))
+            pieces.append((v, [Quotient(v, q).pow(gfp_mod([0, 1], v, q), pow(k, -1, n))]))
             continue
         for u in factor_squarefree_mod_p(v, q) if len(v) - 1 > D else [v]:
             roots = field_roots(gfp_mod([0, 1], u, q), k, u, q)
@@ -322,43 +280,24 @@ def _reconstruct(y: list[int], d: int, m: int) -> Optional[tuple[list[int], int]
     return nums, den
 
 
-def _zmulmod(a: IntPoly, b: IntPoly, f: tuple[int, ...]) -> tuple[IntPoly, int]:
-    """(r, e) with lc(f)^e a b = r modulo f in Z[x] and deg r < deg f, by
-    pseudo-division: a top coefficient not divisible by lc(f) scales the
-    whole remainder by lc(f) first."""
-    d, lc = len(f) - 1, f[-1]
-    c = list((a * b).coeffs)
-    e = 0
-    for j in range(len(c) - 1, d - 1, -1):
-        top = c[j]
-        if not top:
-            continue
-        if top % lc:
-            c = [x * lc for x in c]
-            e += 1
-            top *= lc
-        quo = top // lc
-        for i, x in enumerate(f):
-            c[j - d + i] -= quo * x
-    return IntPoly(tuple(c[:d])), e
-
-
-def _is_root(nums: list[int], den: int, k: int, f: tuple[int, ...]) -> bool:
-    """The certificate: (nums / den)^k = x modulo f, exactly."""
+def _is_root(nums: list[int], den: int, k: int, f: IntPoly) -> bool:
+    """The certificate: (nums / den)^k = x modulo f, exactly, by
+    pseudo-remainders: out and base stand for lc(f)^-eo out and
+    lc(f)^-eb base."""
     out, eo = IntPoly.one(), 0
     base, eb = IntPoly(tuple(nums)), 0
     e = k
     while True:
         if e & 1:
-            out, ej = _zmulmod(out, base, f)
+            out, ej = pseudo_rem(out * base, f)
             eo += eb + ej
         e >>= 1
         if not e:
             break
-        base, ej = _zmulmod(base, base, f)
+        base, ej = pseudo_rem(base * base, f)
         eb = 2 * eb + ej
     # out / lc^eo = den^k x
-    return out == IntPoly((0, den**k * f[-1] ** eo))
+    return out == IntPoly((0, den**k * f.lc**eo))
 
 
 def _precision_cap(f: IntPoly) -> int:
@@ -389,7 +328,7 @@ def _lift(f: IntPoly, k: int, q: int, starts: list[list[int]]) -> Optional[tuple
     m = q
     while m.bit_length() <= cap:
         m *= m
-        R = _Quotient(reduce_mod_p(f.coeffs, m), m)
+        R = Quotient(reduce_mod_p(f.coeffs, m), m)
         f0inv, kinv = pow(f[0], -1, m), pow(k, -1, m)
         xinv = [-c * f0inv % m for c in f.coeffs[1:]]
         for i, y in enumerate(ys):
@@ -401,7 +340,7 @@ def _lift(f: IntPoly, k: int, q: int, starts: list[list[int]]) -> Optional[tuple
             continue
         for y in ys:
             got = _reconstruct(y, d, m)
-            if got is not None and _is_root(*got, k, f.coeffs):
+            if got is not None and _is_root(*got, k, f):
                 return got
     return None
 
@@ -410,24 +349,21 @@ def _lift(f: IntPoly, k: int, q: int, starts: list[list[int]]) -> Optional[tuple
 def power_root(f: IntPoly, k: int) -> Optional[KthRoot]:
     """A verified h with h(alpha)^k = alpha in Q(alpha), or None.
 
-    f is irreducible and primitive, and k >= 1; f of degree < 2 or with
-    f(0) = 0 gets None.  None proves nothing (see the module docstring).
+    f is irreducible and primitive, and k >= 1; f of degree < 2, with
+    f(0) = 0 or with a repeated factor (where the walk of good primes
+    would not end) gets None.  None proves nothing (see the module
+    docstring).
     Memoized like factor_over_z: power_index, the E certification and the
     witness ask for the same roots.
     """
-    if f.degree < 2 or f[0] == 0:
+    if f.degree < 2 or f[0] == 0 or gcd_z(f, f.derivative()).degree:
         return None
-    q = 2
-    for _ in range(PRIME_TRIES):
-        q = next_prime(q)
-        while (k * f.lc * f[0]) % q == 0:
-            q = next_prime(q)
-        split = _splitting(f, k, q)
-        if split is not None and split[1] <= CHOICE_LIMIT:
+    for q in islice(_primes(f, k), PRIME_TRIES):
+        blocks, choices = _splitting(f, k, q)
+        if choices <= CHOICE_LIMIT:
             break
     else:
         return None
-    blocks = split[0]
     pieces = _pieces(blocks, k, q)
     got = _lift(f, k, q, _crt_starts(pieces, q)) if pieces else None
     if got is None:
@@ -451,15 +387,15 @@ def minimal_polynomial(f: IntPoly, root: KthRoot) -> IntPoly:
     """
     a = f.coeffs
     d, lc = len(a) - 1, a[-1]
-    monic = tuple(c * lc ** (d - 1 - i) for i, c in enumerate(a[:d])) + (1,)
+    monic = IntPoly(tuple(c * lc ** (d - 1 - i) for i, c in enumerate(a[:d])) + (1,))
     b = IntPoly(tuple(c * lc ** (d - 1 - i) for i, c in enumerate(root.num.coeffs)))
     den = root.den * lc ** (d - 1)
-    traces = power_sums_monic(monic, d - 1)
+    traces = power_sums_monic(monic.coeffs, d - 1)
     traces[0] = d
     cur = IntPoly.one()
     sums = []
     for _ in range(d):
-        cur = _zmulmod(cur, b, monic)[0]
+        cur = pseudo_rem(cur * b, monic)[0]
         sums.append(sum(c * t for c, t in zip(cur.coeffs, traces)))
     e = elementary_symmetric(sums)
     g = IntPoly(tuple((-1) ** j * e[j] * den ** (d - j) for j in range(d, -1, -1)))
@@ -470,19 +406,14 @@ def roots_of_unity_are_signs(f: IntPoly, k: int, root: KthRoot) -> bool:
     """True when Q(alpha) provably holds no k-th root of unity but +-1.
 
     Those of Q(alpha) embed into every residue field F_(q^(d_i)) at a
-    prime q that divides neither k nor lc(f) and keeps f mod q
-    squarefree, so one such field with gcd(k, q^(d_i) - 1) <= 2 proves it;
-    so does an odd degree, which gives Q(alpha) a real embedding.  The
-    root's own q is read first, then up to PRIME_TRIES further primes.
+    prime q of _primes (q divides neither k nor lc(f), and f mod q is
+    squarefree), so one such field with gcd(k, q^(d_i) - 1) <= 2 proves
+    it; so does an odd degree, which gives Q(alpha) a real embedding.
+    The root's own q is read first, then up to PRIME_TRIES other primes
+    of the walk.
     """
     if f.degree % 2 or any(math.gcd(k, root.q**D - 1) <= 2 for D in root.degrees):
         return True
-    q = root.q
-    for _ in range(PRIME_TRIES):
-        q = next_prime(q)
-        while (k * f.lc * f[0]) % q == 0:
-            q = next_prime(q)
-        split = _splitting(f, k, q)
-        if split is not None and any(math.gcd(k, q**D - 1) <= 2 for _, D in split[0]):
-            return True
-    return False
+    others = (q for q in _primes(f, k) if q != root.q)
+    return any(any(math.gcd(k, q**D - 1) <= 2 for _, D in _splitting(f, k, q)[0])
+               for q in islice(others, PRIME_TRIES))

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .intpoly import IntPoly, content_primitive, trace_lift, trace_reduce
+from .intpoly import IntPoly, content_primitive, pseudo_rem, trace_lift, trace_reduce
 from .modpoly import (
     ddf_degree_multiset,
     factor_squarefree_mod_p,
@@ -151,26 +151,10 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     # primitive PRS
     a, b = (pf, pg) if pf.degree >= pg.degree else (pg, pf)
     while True:
-        r = _pseudo_rem(a, b)
+        r = pseudo_rem(a, b)[0]
         if not r:
             return _pp_positive(b) * c
         a, b = b, _pp_positive(r)
-
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Remainder of lc(b)^(da-db+1) * a by b in Z[t]: each elimination
-    step scales the running remainder by lc(b) before cancelling its top."""
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    rem = list(a.coeffs)
-    for k in range(da - db, -1, -1):
-        c = rem[k + db]
-        rem = [b.lc * x for x in rem[:k + db + 1]]
-        if c:
-            for j, y in enumerate(b.coeffs):
-                rem[k + j] -= c * y
-    return IntPoly(tuple(rem[:db]))
 
 
 # -- squarefree decomposition over Z ---------------------------------------
@@ -266,8 +250,12 @@ def _mignotte_level(f: IntPoly, p: int) -> int:
     return l
 
 
-def _good_primes(f: IntPoly) -> Iterator[int]:
-    """Odd primes keeping f squarefree with unit leading coefficient, ascending."""
+def good_primes(f: IntPoly) -> Iterator[int]:
+    """Odd primes keeping f squarefree with unit leading coefficient, ascending.
+
+    The walk never ends: for f with a repeated factor, which no prime
+    keeps squarefree, it yields nothing and runs on.
+    """
     p = 3
     while True:
         if f.lc % p:
@@ -408,7 +396,7 @@ def _factor_squarefree(
     if irreducible and nonsquare:
         return [f]
     probes: list[tuple[int, list[int]]] = []  # (prime, degree multiset)
-    for p in _good_primes(g):
+    for p in good_primes(g):
         if norm % p == 0:
             continue
         gb = reduce_mod_p(g.coeffs, p)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod.modpoly import (
+    Quotient,
     _half_power,
     _split_with_matrix,
     ddf_degree_multiset,
@@ -19,7 +20,6 @@ from freeperiod.modpoly import (
     gfp_gcd,
     gfp_mod,
     gfp_mul,
-    gfp_powmod,
     gfp_sub,
     gf2_degree_pattern,
     has_nonsquare_factor,
@@ -33,6 +33,20 @@ PRIMES = [2, 3, 5, 7, 13]
 ODD_PRIMES = [3, 5, 7, 13]
 
 mod_coeffs = st.lists(st.integers(min_value=0, max_value=12), max_size=8)
+
+
+def gfp_powmod(a, e, mod, p):
+    """a^e reduced modulo mod in F_p[t], by square-and-multiply with a
+    division after each product: the reference for Quotient.pow, the
+    Frobenius rows and the half powers."""
+    result = [1]
+    base = gfp_mod(a, mod, p)
+    while e:
+        if e & 1:
+            result = gfp_mod(gfp_mul(result, base, p), mod, p)
+        base = gfp_mod(gfp_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
 
 
 def brute_prime(n: int) -> bool:
@@ -133,11 +147,11 @@ def test_powmod_matches_naive(a, e, m, p):
     m = reduce_mod_p(m, p)
     if len(m) < 2:
         return
-    out = gfp_powmod(a, e, m, p)
     naive = [1]
     for _ in range(e):
         naive = gfp_mod(gfp_mul(naive, a, p), m, p)
-    assert out == naive
+    assert gfp_powmod(a, e, m, p) == naive
+    assert Quotient(m, p).pow(gfp_mod(a, m, p), e) == naive
 
 
 @given(mod_coeffs, st.sampled_from(PRIMES), st.integers(min_value=-20, max_value=20))
@@ -381,6 +395,32 @@ def test_kernels_at_prime_powers_match_integer_schoolbook(m, data):
         assert len(r) < len(v)
         assert q == reduce_mod_p(q, m) and r == reduce_mod_p(r, m)
         assert reference_add(reference_mul(q, v, m), r, m) == x
+
+
+# the quotient ring at primes and at the moduli q^(2^j) of nfroot's lift
+QUOTIENT_MODULI = [2, 3, 5, 13, 2**31 - 1, 3**2, 5**4, 3**16, 13**8, (2**31 - 1) ** 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QUOTIENT_MODULI), st.data())
+def test_quotient_product_is_the_reduced_product(m, data):
+    # one ring, products spilling every count 0..n-1 of slots past degree
+    # n - 1 in a drawn order, so the fold rows grow lazily between them
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    unit = st.integers(min_value=1, max_value=m - 1).filter(lambda c: math.gcd(c, m) == 1)
+    u = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                           min_size=n, max_size=n)) + [data.draw(unit)]
+    R = Quotient(u, m)
+    for spill in data.draw(st.permutations(range(n))):
+        # len a + len b - 1 = n + spill, each of length <= n, nonzero tops
+        la = data.draw(st.integers(min_value=spill + 1, max_value=n))
+        a, b = (data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                                   min_size=size - 1, max_size=size - 1)) + [data.draw(unit)]
+                for size in (la, n + spill + 1 - la))
+        assert R.mul(a, b) == gfp_mod(gfp_mul(a, b, m), u, m)
+    a = reduce_mod_p(data.draw(st.lists(st.integers(min_value=0), max_size=n)), m)
+    assert R.mul(a, []) == R.mul([], a) == []
+    assert R.mul(a, [1]) == a
 
 
 def _sympy_mod2_pattern(coeffs):

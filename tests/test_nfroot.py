@@ -21,9 +21,8 @@ from freeperiod import (
 )
 from freeperiod import hartley
 from freeperiod.cyclotomic import cyclotomic_tag, factorint
-from freeperiod.modpoly import ddf_degree_multiset, gfp_deriv, gfp_gcd, gfp_mod, gfp_mul
+from freeperiod.modpoly import Quotient, ddf_degree_multiset, gfp_deriv, gfp_gcd, reduce_mod_p
 from freeperiod.nfroot import (
-    _Quotient,
     _element,
     _is_root,
     field_roots,
@@ -170,9 +169,36 @@ def test_power_root_vectors(f, k, h):
         assert (root.num, root.den) in ((parse_poly(h), 1), (-parse_poly(h), 1))
 
 
+def _squarefree_mod(f: IntPoly, q: int) -> bool:
+    fq = reduce_mod_p(f.coeffs, q)
+    return len(gfp_gcd(fq, gfp_deriv(fq, q), q)) == 1
+
+
+@pytest.mark.parametrize("f,h", [("t^2 - 1223t + 1", "t + 1"), ("t^2 - 1289t + 1024", "t - 32")])
+def test_power_root_walks_past_primes_that_break_squarefreeness(f, h):
+    # 3, 5, 7 and 11 divide both discriminants, so f mod q has a double
+    # root there; four tries spent on them would leave no prime, but the
+    # walk of good primes skips them and lifts at q = 13, where h / 35
+    # squares to x
+    f = parse_poly(f)
+    assert not any(_squarefree_mod(f, q) for q in (3, 5, 7, 11))
+    root = power_root(f, 2)
+    assert root is not None and root.q == 13 and is_exact_root(root, f, 2)
+    assert (root.num, root.den) in ((parse_poly(h), 35), (-parse_poly(h), 35))
+
+
+def test_power_root_refuses_repeated_factors():
+    # no prime keeps a square squarefree, so the walk is never started
+    assert power_root(parse_poly("t^2 - 3t + 1") ** 2, 2) is None
+
+
+# a non-monic cubic whose square rotation R(g, 2) is irreducible
+NON_MONIC = parse_poly("3t^3 - t + 1")
+
+
 def test_certificate_rejects_near_roots():
     # FIG8's root is (t - 1)^2 modulo FIG8; K14's second factor is not monic
-    f = FIG8.coeffs
+    f = FIG8
     assert _is_root([-1, 1], 1, 2, f)
     assert not any((_is_root([-1, 2], 1, 2, f), _is_root([-1, 1], 2, 2, f),
                     _is_root([-1, 1], 1, 3, f)))
@@ -180,9 +206,27 @@ def test_certificate_rejects_near_roots():
     assert g.lc == 4
     root = power_root(g, 2)
     nums = list(root.num.coeffs)
-    assert _is_root(nums, root.den, 2, g.coeffs)
-    assert not _is_root([nums[0] + 1] + nums[1:], root.den, 2, g.coeffs)
-    assert not _is_root(nums, root.den + 1, 2, g.coeffs)
+    assert _is_root(nums, root.den, 2, g)
+    assert not _is_root([nums[0] + 1] + nums[1:], root.den, 2, g)
+    assert not _is_root(nums, root.den + 1, 2, g)
+    # lc 9: f = R(3t^3 - t + 1, 2) has the root beta^2 and lc(f) = 3^2
+    f = rotation_product_deflated(NON_MONIC, 2)
+    root = power_root(f, 2)
+    assert f.lc == 9 and root is not None
+    nums = list(root.num.coeffs)
+    assert _is_root(nums, root.den, 2, f)
+    assert not _is_root(nums, root.den, 3, f)
+    assert not _is_root([nums[0] + 1] + nums[1:], root.den, 2, f)
+
+
+def test_minimal_polynomial_of_a_non_monic_field():
+    # the square root of the root beta^2 of R(g, 2) is +-beta, whose
+    # minimal polynomial is g or -g(-t)
+    f = rotation_product_deflated(NON_MONIC, 2)
+    assert _irreducible(f) and f.lc == 9
+    g = minimal_polynomial(f, power_root(f, 2))
+    neg = IntPoly(tuple((-1) ** (3 - i) * c for i, c in enumerate(NON_MONIC.coeffs)))
+    assert g in (NON_MONIC, neg)
 
 
 def test_sympy_agrees_on_the_witness_factors():
@@ -264,22 +308,6 @@ def test_witness_falls_back_when_cube_roots_of_unity_may_lie_in_the_field():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 5, 7, 11, 13, 2**31 - 1, 3**20]),
-       st.lists(st.integers(min_value=0), min_size=2, max_size=10),
-       st.data())
-def test_quotient_product_is_the_reduced_product(m, u, data):
-    u = [c % m for c in u[:-1]] + [1]
-    n = len(u) - 1
-    elem = st.lists(st.integers(min_value=0, max_value=m - 1), max_size=n)
-    a, b = data.draw(elem), data.draw(elem)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    assert _Quotient(u, m).mul(a, b) == gfp_mod(gfp_mul(a, b, m), u, m)
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4),
        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 29, 31, 37, 41, 43]),
        st.lists(st.integers(min_value=0, max_value=100), min_size=4, max_size=4),
@@ -292,6 +320,6 @@ def test_field_roots_are_every_kth_root(n, q, low, k, t):
     u = [c % q for c in low[:n]] + [1]
     assume(ddf_degree_multiset(u, q) == [n] and len(gfp_gcd(u, gfp_deriv(u, q), q)) == 1)
     a = _element(t % (size - 1) + 1, q)
-    F = _Quotient(u, q)
+    F = Quotient(u, q)
     want = sorted(y for y in (_element(c, q) for c in range(1, size)) if F.pow(y, k) == a)
     assert sorted(field_roots(a, k, u, q)) == want

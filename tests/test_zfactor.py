@@ -14,9 +14,9 @@ from freeperiod import (
 )
 from freeperiod import zfactor
 from freeperiod.cyclotomic import cyclotomic, divisors
-from freeperiod.intpoly import trace_lift, trace_reduce
+from freeperiod.intpoly import pseudo_rem, trace_lift, trace_reduce
 from freeperiod.modpoly import gfp_monic, has_nonsquare_factor, reduce_mod_p
-from freeperiod.zfactor import _pseudo_rem, degree_set_filter, gcd_z, squarefree_decompose
+from freeperiod.zfactor import degree_set_filter, gcd_z, squarefree_decompose
 from polys import FIG8, GOLDEN, K14
 
 small_polys = st.builds(
@@ -56,13 +56,15 @@ def test_gcd_z_conventions():
 
 @given(small_polys, small_polys)
 def test_pseudo_rem_invariant(a, b):
-    # integer pseudo-division: lc(b)^(da-db+1) a = Q b + r with deg r < deg b
-    r = _pseudo_rem(a, b)
+    # integer pseudo-division, scaled lazily: lc(b)^e a = Q b + r with
+    # deg r < deg b and e at most the da - db + 1 of the classical one
+    r, e = pseudo_rem(a, b)
     if a.degree < b.degree:
-        assert r == a
+        assert (r, e) == (a, 0)
         return
     assert r.degree < b.degree
-    assert (a * b.lc ** (a.degree - b.degree + 1) - r).try_divide(b) is not None
+    assert 0 <= e <= a.degree - b.degree + 1
+    assert (a * b.lc**e - r).try_divide(b) is not None
 
 
 @given(products)

@@ -294,7 +294,8 @@ def _root_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
                key=lambda w: w.coeffs)
 
 
-def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
+def power_index(f: IntPoly, p: int, max_r: Optional[int] = None, *,
+                _screened: int = 0) -> int:
     """Largest r with f(t^(p^r)) having an integer factor of degree deg f.
 
     Monotone in r (a p^(r+1)-th power is a p^r-th power), so the loop stops
@@ -303,7 +304,8 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     p^r; a level it passes is settled by a verified p^r-th root
     (nfroot.power_root) when the lift finds one, and otherwise by the
     mod-p factor degree sums and then a full factorization of the
-    inflation.  Requires f irreducible, primitive, non-cyclotomic,
+    inflation; levels up to _screened skip the screen, which the caller
+    has run.  Requires f irreducible, primitive, non-cyclotomic,
     degree >= 2; cyclotomic f raises ValueError, because Phi_m(t^(p^r))
     has the factor Phi_m at every r when p does not divide m, and the
     unbounded loop would never stop.
@@ -317,7 +319,7 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None) -> int:
     while max_r is None or r < max_r:
         rn = r + 1
         pr = p**rn
-        if _power_residue_rejects(f, {pr: _screen_tries(pr)}):
+        if rn > _screened and _power_residue_rejects(f, {pr: _screen_tries(pr)}):
             break
         if power_root(f, pr) is None and (
                 not degree_set_filter(f.inflate(pr), d, trials=2)
@@ -338,8 +340,8 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
     to the Mahler prime bound and the result is certified by a verified
     E-th root of the root of f (nfroot.power_root), or failing that by a
     factor of degree deg f of f(t^E).  One batched residue screen
-    first tests every such p at level 1, and power_index runs only for the
-    p it does not reject (r = 0 for the rest).
+    first tests every such p at level 1, and power_index runs, without
+    that screen again, only for the p it does not reject (r = 0 for the rest).
     """
     d = f.degree
     m = cyclotomic_tag(f)
@@ -364,7 +366,7 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
         max_r = 0
         while p ** (max_r + 1) <= bound:
             max_r += 1
-        e *= p ** power_index(f, p, max_r=max_r)
+        e *= p ** power_index(f, p, max_r=max_r, _screened=1)
     if e > 1 and power_root(f, e) is None and _inflation_factor(f, e) is None:
         raise AssertionError(f"E certification failed for {f} at E={e}")
     return EValue.finite(e)

@@ -16,6 +16,9 @@ runs the Murasugi mod-p screen on the rest.  Its two exceptional lists
 (candidates that are n-Hartley for some n >= 2, and candidates with a
 Murasugi hit) are the survey's entire point: members are the only
 candidates whose free or ordinary periodicity is not obstructed.
+
+Reports are written record by record, as compact JSON (write_json) or CSV
+(write_csv), and a JSON report is read back the same way (read_report).
 """
 
 from __future__ import annotations
@@ -422,6 +425,27 @@ def _record_json(r: CandidateRecord) -> str:
     })
 
 
+def _record_from_json(rec: dict) -> CandidateRecord:
+    """The record that _record_json encoded as rec; ValueError unless its
+    exponents and poly are those of the candidate they name."""
+    genus, exps = rec["genus"], rec["exponents"]
+    cand = Candidate.from_gap_set(
+        genus, frozenset(b for b in exps if genus < b < 2 * genus))
+    if list(cand.exponents) != exps or format_poly(cand.poly) != rec["poly"]:
+        raise ValueError(f"record {exps} does not rebuild its candidate")
+    hs, hits = rec["hartley"], rec["murasugi"]
+    return CandidateRecord(
+        candidate=cand,
+        factors=tuple((IntPoly(tuple(f["coeffs"])), f["mult"])
+                      for f in rec["factors"]),
+        cyclotomic_product=rec["cyclotomic_product"],
+        hartley=HartleySet(hs["finite"], tuple(hs["members"]), hs["rule"]),
+        e_gcd=rec["e_gcd"],
+        murasugi=None if hits is None else tuple(
+            MurasugiHit(**{**h, "quotient": IntPoly(tuple(h["quotient"]))})
+            for h in hits))
+
+
 def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
                mode: BoundMode, filters: FilterConfig) -> None:
     """Write the JSON report of survey(g_max, mode, filters) over records
@@ -444,6 +468,70 @@ def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
         spool.seek(0)
         shutil.copyfileobj(spool, out)
     out.write(_JSON_TAIL)
+
+
+_READ_SIZE = 1 << 14
+_RECORDS_KEY = '"records":['
+
+
+def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
+    """The head of the JSON report in fp, its object without "records",
+    and an iterator that reads on through fp and decodes one record at a
+    time; fp must stay open until the iterator is drained.
+
+    The layout is the compact one of write_json, followed by whitespace
+    at most (the survey command prints a final newline).  ValueError: an
+    unknown version, a report that ends before its closing "]}" or goes on
+    after it, a record count other than aggregates.candidates, or a record
+    that lacks a field or whose exponents or poly do not rebuild its
+    candidate.
+    """
+    buf = ""
+    while _RECORDS_KEY not in buf:
+        chunk = fp.read(_READ_SIZE)
+        if not chunk:
+            raise ValueError("report ends before its records")
+        buf += chunk
+    end = buf.index(_RECORDS_KEY) + len(_RECORDS_KEY)
+    head = json.loads(buf[:end] + _JSON_TAIL)
+    del head["records"]
+    if head.get("version") != SCHEMA_VERSION:
+        raise ValueError("unsupported report version")
+    return head, _records(fp, buf[end:], head["aggregates"]["candidates"])
+
+
+def _records(fp: TextIO, buf: str, count: int) -> Iterator[CandidateRecord]:
+    """read_report's records: buf holds the text read after the head."""
+    decode = json.JSONDecoder().raw_decode
+    pos = n = 0
+    while True:
+        sep = "," if n else ""
+        try:
+            if buf[pos] == "]":
+                break
+            rec, end = decode(buf, pos + len(sep))
+        except (IndexError, json.JSONDecodeError):
+            # buf ends inside the next record: read on, at least as much
+            # as is held, so a long record is gathered in linear time (a
+            # malformed one is read on to the end of fp)
+            chunk = fp.read(max(_READ_SIZE, len(buf) - pos))
+            if not chunk:
+                raise ValueError("report ends inside its records, or one"
+                                 " of them is not JSON") from None
+            buf, pos = buf[pos:] + chunk, 0
+            continue
+        if buf[pos:pos + len(sep)] != sep:
+            raise ValueError("report records are not in write_json's layout")
+        try:
+            record = _record_from_json(rec)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"report record {n} is malformed: {exc!r}") from exc
+        yield record
+        pos, n = end, n + 1
+    if (buf[pos:] + fp.read()).rstrip() != _JSON_TAIL:
+        raise ValueError('report does not end in "]}" after its records')
+    if n != count:
+        raise ValueError(f"report has {n} records for {count} candidates")
 
 
 _CSV_HEADER = ("genus,exponents,poly,cyclotomic_product,e_gcd,"
@@ -478,6 +566,9 @@ def write_csv(out: TextIO, records: Iterable[CandidateRecord],
 
 @dataclass(frozen=True)
 class SurveyReport:
+    """A survey held in memory, as survey() returns it.  A saved report
+    becomes one from read_report's head config and tuple(records)."""
+
     g_max: int
     mode: BoundMode
     top_gap_1: bool
@@ -523,44 +614,6 @@ class SurveyReport:
         buf = io.StringIO()
         write_csv(buf, self.records, self.mode, self.top_gap_1)
         return buf.getvalue()
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SurveyReport":
-        if payload.get("version") != SCHEMA_VERSION:
-            raise ValueError("unsupported report version")
-        cfg = payload["config"]
-        records = []
-        for rec in payload["records"]:
-            cand = Candidate.from_gap_set(
-                rec["genus"],
-                frozenset(b for b in rec["exponents"]
-                          if rec["genus"] < b < 2 * rec["genus"]))
-            factors = tuple((IntPoly(tuple(f["coeffs"])), f["mult"])
-                            for f in rec["factors"])
-            hs = rec["hartley"]
-            hartley = HartleySet(finite=hs["finite"],
-                                 members=tuple(hs["members"]),
-                                 rule=hs["rule"])
-            if rec["murasugi"] is None:
-                hits = None
-            else:
-                hits = tuple(MurasugiHit(q=h["q"], lam=h["lam"],
-                                         quotient=IntPoly(tuple(h["quotient"])),
-                                         shift=h["shift"], sign=h["sign"],
-                                         divides=h["divides"])
-                             for h in rec["murasugi"])
-            records.append(CandidateRecord(
-                candidate=cand, factors=factors,
-                cyclotomic_product=rec["cyclotomic_product"],
-                hartley=hartley, e_gcd=rec["e_gcd"], murasugi=hits))
-        return cls(g_max=cfg["g_max"], mode=BoundMode(cfg["mode"]),
-                   top_gap_1=cfg["filters"]["top_gap_1"],
-                   custom_filter=cfg["filters"]["custom_predicate"],
-                   records=tuple(records))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurveyReport":
-        return cls.from_payload(json.loads(text))
 
 
 def survey_stream(g_max: int,

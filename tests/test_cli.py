@@ -256,6 +256,21 @@ def test_readme_command_line_examples(runner, tmp_path):
             assert (res.exit_code, res.output) == (0, output), argv
 
 
+def test_readme_csv_recipe_turns_the_json_report_into_the_survey_csv(
+        runner, tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    (recipe,) = [block for block in re.findall(r"```python\n(.*?)```", text, re.S)
+                 if "read_report" in block]
+    res = runner.invoke(main, ["survey", "--max-genus", "6", "--json"])
+    assert res.exit_code == 0
+    (tmp_path / "g16.json").write_text(res.output, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(recipe, {})
+    res = runner.invoke(main, ["survey", "--max-genus", "6", "--csv"])
+    assert res.exit_code == 0
+    assert (tmp_path / "g16.csv").read_text(encoding="utf-8") == res.output
+
+
 # -- mode plumbing ---------------------------------------------------------
 
 

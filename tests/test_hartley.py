@@ -28,6 +28,7 @@ from freeperiod import (
     rotation_product_deflated,
     verify_witness,
 )
+from freeperiod import hartley
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import (
     _aux_primes, _cyclotomic_rotation_product, _power_residue_rejects)
@@ -257,6 +258,35 @@ def test_e_of_irreducible_other_cases():
     assert [e_of_irreducible(g).e for g in k14_factors] == [2, 2]
     with pytest.raises(ValueError):
         e_of_irreducible(IntPoly.x())
+
+
+@pytest.mark.parametrize("mode", list(BoundMode))
+def test_e_screens_each_prime_at_level_1_once(monkeypatch, mode):
+    # the batched screen of e_of_irreducible passes p at level 1 with the
+    # tries power_index would use, and the walk is deterministic, so
+    # power_index starts its own screens at level 2
+    calls = []
+
+    def spy(f, levels):
+        calls.append(dict(levels))
+        return _power_residue_rejects(f, levels)
+
+    monkeypatch.setattr(hartley, "_power_residue_rejects", spy)
+    f = parse_poly("t^2 - 7t + 1")
+    k14_factors = [g for g, _ in factor_over_z(K14).factors]
+    for g, e in [(f, 4)] + [(h, 2) for h in k14_factors]:
+        calls.clear()
+        assert e_of_irreducible.__wrapped__(g, mode) == EValue.finite(e)
+        batch, *single = calls
+        assert batch and all(is_prime(p) for p in batch)
+        assert all(len(levels) == 1 and not is_prime(next(iter(levels)))
+                   for levels in single)
+        if g == f:
+            assert {4: 4} in single
+    monkeypatch.undo()
+    assert construct_witness(f, 4).witness == parse_poly("t^2 - t - 1")
+    assert construct_witness(f, 2).witness == FIG8
+    assert construct_witness(K14, 2).witness == IntPoly((2, 3, -2, -7, -2, 3, 2))
 
 
 def test_e_of_irreducible_rigorous_degree_20_is_quick():

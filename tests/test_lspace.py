@@ -30,7 +30,7 @@ from freeperiod import (
 )
 from freeperiod import lspace
 from freeperiod.cyclotomic import cyclotomic
-from freeperiod.lspace import _factor_candidate, parallel_map
+from freeperiod.lspace import _factor_candidate, parallel_map, read_report
 
 
 def bag(fp):
@@ -295,11 +295,18 @@ def test_survey_8_golden_hash(mode, expected):
     assert digest == expected
 
 
-def test_survey_9_rigorous_golden_hash():
+@pytest.fixture(scope="module")
+def g9_rigorous():
+    return survey(9, BoundMode.RIGOROUS)
+
+
+def test_survey_9_rigorous_golden_hash(g9_rigorous):
     # the benchmark's survey_g9_rigorous workload pins the same report
     # (perfbench/workloads.py, PINNED_SHA256)
-    digest = hashlib.sha256(survey(9, BoundMode.RIGOROUS).to_json().encode()).hexdigest()
+    text = g9_rigorous.to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "a6dc799bb62328ab0ca1847d2abd9145bb87d0993a4d584d6de47775198d6074"
+    assert _read_back(text) == g9_rigorous
 
 
 def test_survey_10_heuristic_golden_hash():
@@ -339,9 +346,19 @@ def test_enumerate_rejects_nonpositive_genus():
 # -- serialization ---------------------------------------------------------
 
 
+def _read_back(text):
+    """The report in text, read back through read_report."""
+    head, records = read_report(io.StringIO(text))
+    cfg = head["config"]
+    return SurveyReport(g_max=cfg["g_max"], mode=BoundMode(cfg["mode"]),
+                        top_gap_1=cfg["filters"]["top_gap_1"],
+                        custom_filter=cfg["filters"]["custom_predicate"],
+                        records=tuple(records))
+
+
 def test_json_round_trip():
     rep = survey(5)
-    assert SurveyReport.from_json(rep.to_json()) == rep
+    assert _read_back(rep.to_json()) == rep
 
 
 def _report_with_exceptional_records():
@@ -375,7 +392,7 @@ def test_record_by_record_json_is_the_one_shot_encoding():
     for rep in reports:
         text = rep.to_json()
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
-        assert SurveyReport.from_json(text) == rep
+        assert _read_back(text) == rep
 
 
 def test_streamed_report_writers_match_the_in_memory_report():
@@ -418,8 +435,111 @@ def test_payload_shape():
 def test_rejects_unknown_report_version():
     payload = json.loads(survey(2).to_json())
     payload["version"] = 99
+    text = json.dumps(payload, separators=(",", ":"))
     with pytest.raises(ValueError, match="unsupported report version"):
-        SurveyReport.from_payload(payload)
+        read_report(io.StringIO(text))
+
+
+def _drain(text):
+    head, records = read_report(io.StringIO(text))
+    return head, list(records)
+
+
+def test_read_report_reads_the_survey_command_output_record_by_record(monkeypatch):
+    rep = survey(4)
+    text = rep.to_json() + "\n"
+    # a read size of a few bytes cuts every record and the head
+    for size in (7, 64, 1 << 14):
+        monkeypatch.setattr(lspace, "_READ_SIZE", size)
+        head, records = read_report(io.StringIO(text))
+        assert head == {k: v for k, v in json.loads(text).items() if k != "records"}
+        assert tuple(records) == rep.records
+    empty = json.dumps({"version": 1, "config": {}, "aggregates": {"candidates": 0},
+                        "records": []}, separators=(",", ":"))
+    assert _drain(empty)[1] == []
+
+
+def test_read_report_rejects_a_cut_report():
+    text = survey(4).to_json()
+    boundary = text.index("},{") + 1
+    for cut in (text[:text.index('"records":[') + 5],  # in the head
+                text[:text.index('"records":[') + 11],  # before any record
+                text[:boundary],  # between records
+                text[:boundary + 1],  # after the comma
+                text[:boundary + 40],  # inside a record
+                text[:-2]):  # after the last record
+        with pytest.raises(ValueError, match="report ends"):
+            _drain(cut)
+    with pytest.raises(ValueError, match='does not end in "]}"'):
+        _drain(text[:-1])
+
+
+@pytest.mark.parametrize("tail", ["x", "]", "}", "\n{}", ",{}"])
+def test_read_report_rejects_text_after_the_report(tail):
+    text = survey(3).to_json()
+    _drain(text + " \n\t")
+    with pytest.raises(ValueError, match='does not end in "]}"'):
+        _drain(text + tail)
+
+
+def test_read_report_rejects_a_record_count_other_than_the_aggregates():
+    text = survey(3).to_json()
+    more = text.replace('"candidates":7', '"candidates":8', 1)
+    with pytest.raises(ValueError, match="7 records for 8 candidates"):
+        _drain(more)
+    first = text.index('"records":[') + len('"records":[')
+    second = text.index(',{"genus"', first)
+    with pytest.raises(ValueError, match="6 records for 7 candidates"):
+        _drain(text[:first] + text[second + 1:])
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"exponents":[4,3,2,1,0]', '"exponents":[4,2,1,0]'),
+    ('"exponents":[4,3,2,1,0]', '"exponents":[4,3,2,0,0]'),
+    ('"poly":"t^4 - t^3 + t^2 - t + 1"', '"poly":"t^4 - t^3 + t^2 - t + 2"'),
+    ('"genus":2,"exponents":[4,3,2,1,0]', '"genus":3,"exponents":[4,3,2,1,0]'),
+])
+def test_read_report_rejects_a_record_that_does_not_rebuild_its_candidate(old, new):
+    text = survey(3).to_json()
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match="does not rebuild its candidate"):
+        _drain(text.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"genus":2,', '"genus":"2",'),
+    (',"e_gcd":', ',"e_gcd_x":'),
+    ('"sign":1,', '"sgn":1,'),
+    ('"rule":', '"rules":'),
+    ('"records":[', '"records":[[],'),
+])
+def test_read_report_rejects_a_malformed_record(old, new):
+    text = _report_with_exceptional_records()[0].to_json()
+    assert old in text
+    with pytest.raises(ValueError, match="report record [0-9]+ is malformed"):
+        _drain(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match="layout"):
+        _drain(text.replace('},{"genus"', '}{"genus"', 1))
+
+
+def test_read_report_peak_memory_does_not_grow_with_the_record_count(
+        tmp_path, g9_rigorous):
+    def peak(rep):
+        path = tmp_path / "report.json"
+        path.write_text(rep.to_json() + "\n")
+        with path.open() as fp:
+            tracemalloc.start()
+            try:
+                head, records = read_report(fp)
+                n = sum(1 for _ in records)
+                return n, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    small, small_peak = peak(survey(6))
+    big, big_peak = peak(g9_rigorous)
+    assert (small, big) == (63, 511)
+    assert big_peak < 2 * small_peak
 
 
 def test_csv_shape_and_parseability():

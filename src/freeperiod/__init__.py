@@ -36,7 +36,6 @@ from .intpoly import IntPoly, content_primitive, format_poly, parse_poly
 from .lspace import (
     Candidate,
     CandidateRecord,
-    FilterConfig,
     SurveyReport,
     candidate_record,
     enumerate_candidates,
@@ -58,7 +57,6 @@ __all__ = [
     "CandidateRecord",
     "EValue",
     "FactoredPoly",
-    "FilterConfig",
     "HartleyProfile",
     "HartleySet",
     "IntPoly",

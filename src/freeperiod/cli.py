@@ -41,7 +41,6 @@ from .hartley import (
 )
 from .intpoly import IntPoly, format_poly, parse_poly
 from .lspace import (
-    FilterConfig,
     SurveyTally,
     parallel_map,
     survey_stream,
@@ -368,16 +367,16 @@ def survey_cmd(mode, max_genus, full, filter_names, jobs, as_json, as_csv):
         raise click.UsageError("--max-genus must be positive")
     if as_json and as_csv:
         raise click.UsageError("provide at most one of --json or --csv")
-    filters = FilterConfig(top_gap_1="top-gap-1" in filter_names)
+    top_gap_1 = "top-gap-1" in filter_names
     progress = _progress_printer(sys.stderr) if sys.stderr.isatty() else None
-    records = survey_stream(max_genus, mode, filters, jobs=jobs,
+    records = survey_stream(max_genus, mode, top_gap_1, jobs=jobs,
                             progress=progress)
     if as_json:
-        write_json(sys.stdout, records, max_genus, mode, filters)
+        write_json(sys.stdout, records, max_genus, mode, top_gap_1)
         sys.stdout.write("\n")
         return
     if as_csv:
-        write_csv(sys.stdout, records, mode, filters.top_gap_1)
+        write_csv(sys.stdout, records, mode, top_gap_1)
         return
     tally = SurveyTally()
     for r in records:

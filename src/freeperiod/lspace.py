@@ -23,7 +23,6 @@ Reports are written record by record, as compact JSON (write_json) or CSV
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -47,20 +46,6 @@ SCHEMA_VERSION = 1
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Candidate filters; everything off by default.
-
-    top_gap_1 keeps only candidates whose two top exponents differ by 1.
-    predicate, when set, is an arbitrary keep-function applied last; it is
-    recorded in reports only as a presence flag since callables do not
-    serialize.
-    """
-
-    top_gap_1: bool = False
-    predicate: Optional[Callable[["Candidate"], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -103,13 +88,12 @@ class Candidate:
         return self.exponents[0] - self.exponents[1]
 
 
-def enumerate_candidates(
-        g_max: int,
-        filters: Optional[FilterConfig] = None) -> Iterator[Candidate]:
-    """All candidates of genus 1..g_max, sorted by (genus, exponents)."""
+def enumerate_candidates(g_max: int,
+                         top_gap_1: bool = False) -> Iterator[Candidate]:
+    """All candidates of genus 1..g_max, sorted by (genus, exponents);
+    with top_gap_1, only those whose two top exponents differ by 1."""
     if g_max < 1:
         raise ValueError("g_max must be positive")
-    filters = filters or FilterConfig()
     for g in range(1, g_max + 1):
         slots = range(g + 1, 2 * g)
         # bit i of mask is slot g+1+i, so masks rise exactly as the
@@ -118,15 +102,12 @@ def enumerate_candidates(
         for mask in range(1 << len(slots)):
             upper = frozenset(b for i, b in enumerate(slots) if mask >> i & 1)
             cand = Candidate.from_gap_set(g, upper)
-            if filters.top_gap_1 and cand.top_gap != 1:
-                continue
-            if filters.predicate is not None and not filters.predicate(cand):
-                continue
-            yield cand
+            if not top_gap_1 or cand.top_gap == 1:
+                yield cand
 
 
 def _candidate_count(g_max: int, top_gap_1: bool) -> int:
-    """len(list(enumerate_candidates(g_max, FilterConfig(top_gap_1))))
+    """len(list(enumerate_candidates(g_max, top_gap_1)))
     without enumerating.  Top gap 1 means slot 2g-1 is taken, which halves
     each genus above 1."""
     return sum(1 << max(g - 1 - top_gap_1, 0) for g in range(1, g_max + 1))
@@ -220,18 +201,16 @@ class CandidateRecord:
     def hartley_exceptional(self) -> bool:
         return not self.cyclotomic_product and bool(self.hartley.members)
 
-    def murasugi_hit_at(self, q: int, require_divides: bool = True) -> bool:
-        """Hit at period q; by default only divisibility-backed hits count.
+    def murasugi_hit_at(self, q: int) -> bool:
+        """A divisibility-backed hit at period q.
 
         The congruence alone is satisfiable by accident (every inflated
         candidate C(t^2) passes at q = 2 with lam = 1, say), while
         Murasugi's theorem also makes the quotient divide Delta over Z.
         Exceptional lists therefore require a hit whose divides flag is
-        set; bare congruence hits remain available for inspection.
+        set; bare congruence hits stay in the record for inspection.
         """
-        return bool(self.murasugi) and any(
-            h.q == q and (h.divides or not require_divides)
-            for h in self.murasugi)
+        return any(h.q == q and h.divides for h in self.murasugi or ())
 
 
 def candidate_record(cand: Candidate,
@@ -447,9 +426,9 @@ def _record_from_json(rec: dict) -> CandidateRecord:
 
 
 def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
-               mode: BoundMode, filters: FilterConfig) -> None:
-    """Write the JSON report of survey(g_max, mode, filters) over records
-    to out, holding one record at a time; the text is that of
+               mode: BoundMode, top_gap_1: bool) -> None:
+    """Write the JSON report of survey(g_max, mode, top_gap_1) over
+    records to out, holding one record at a time; the text is that of
     SurveyReport.to_json().
 
     The aggregates come before the records and are known only after the
@@ -463,8 +442,8 @@ def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
                 spool.write(",")
             tally.add(r)
             spool.write(_record_json(r))
-        out.write(_json_head(g_max, mode, filters.top_gap_1,
-                             filters.predicate is not None, tally))
+        out.write(_json_head(g_max, mode, top_gap_1, custom_filter=False,
+                             tally=tally))
         spool.seek(0)
         shutil.copyfileobj(spool, out)
     out.write(_JSON_TAIL)
@@ -472,6 +451,7 @@ def write_json(out: TextIO, records: Iterable[CandidateRecord], g_max: int,
 
 _READ_SIZE = 1 << 14
 _RECORDS_KEY = '"records":['
+_RECORD_START = ',{"genus":'
 
 
 def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
@@ -481,10 +461,10 @@ def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
 
     The layout is the compact one of write_json, followed by whitespace
     at most (the survey command prints a final newline).  ValueError: an
-    unknown version, a report that ends before its closing "]}" or goes on
-    after it, a record count other than aggregates.candidates, or a record
-    that lacks a field or whose exponents or poly do not rebuild its
-    candidate.
+    unknown version, a head without aggregates.candidates, a report that
+    ends before its closing "]}" or goes on after it, a record count other
+    than aggregates.candidates, or a record that is not JSON, lacks a
+    field or whose exponents or poly do not rebuild its candidate.
     """
     buf = ""
     while _RECORDS_KEY not in buf:
@@ -497,7 +477,11 @@ def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
     del head["records"]
     if head.get("version") != SCHEMA_VERSION:
         raise ValueError("unsupported report version")
-    return head, _records(fp, buf[end:], head["aggregates"]["candidates"])
+    try:
+        count = head["aggregates"]["candidates"]
+    except (KeyError, TypeError):
+        raise ValueError("report head has no aggregates.candidates") from None
+    return head, _records(fp, buf[end:], count)
 
 
 def _records(fp: TextIO, buf: str, count: int) -> Iterator[CandidateRecord]:
@@ -510,24 +494,32 @@ def _records(fp: TextIO, buf: str, count: int) -> Iterator[CandidateRecord]:
             if buf[pos] == "]":
                 break
             rec, end = decode(buf, pos + len(sep))
-        except (IndexError, json.JSONDecodeError):
-            # buf ends inside the next record: read on, at least as much
-            # as is held, so a long record is gathered in linear time (a
-            # malformed one is read on to the end of fp)
-            chunk = fp.read(max(_READ_SIZE, len(buf) - pos))
-            if not chunk:
-                raise ValueError("report ends inside its records, or one"
-                                 " of them is not JSON") from None
-            buf, pos = buf[pos:] + chunk, 0
+        except IndexError:
+            pass
+        except json.JSONDecodeError as exc:
+            # raw_decode fails on a cut record at its end or at the start
+            # of the string it is cut in, and from there on a cut record
+            # holds neither "]}" nor the next record's start: either one
+            # past the failure means that the record is whole, and bad
+            if (buf.find(_RECORD_START, exc.pos) >= 0
+                    or buf.find(_JSON_TAIL, exc.pos) >= 0):
+                raise ValueError(f"report record {n} is not JSON") from exc
+        else:
+            if buf[pos:pos + len(sep)] != sep:
+                raise ValueError("report records are not in write_json's layout")
+            try:
+                record = _record_from_json(rec)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"report record {n} is malformed: {exc!r}") from exc
+            yield record
+            pos, n = end, n + 1
             continue
-        if buf[pos:pos + len(sep)] != sep:
-            raise ValueError("report records are not in write_json's layout")
-        try:
-            record = _record_from_json(rec)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"report record {n} is malformed: {exc!r}") from exc
-        yield record
-        pos, n = end, n + 1
+        # buf ends inside the next record: read on, at least as much as is
+        # held, so a long record is gathered in linear time
+        chunk = fp.read(max(_READ_SIZE, len(buf) - pos))
+        if not chunk:
+            raise ValueError("report ends inside its records")
+        buf, pos = buf[pos:] + chunk, 0
     if (buf[pos:] + fp.read()).rstrip() != _JSON_TAIL:
         raise ValueError('report does not end in "]}" after its records')
     if n != count:
@@ -557,8 +549,8 @@ def _csv_line(r: CandidateRecord, mode: BoundMode, top_gap_1: bool) -> str:
 
 def write_csv(out: TextIO, records: Iterable[CandidateRecord],
               mode: BoundMode, top_gap_1: bool) -> None:
-    """Write the CSV report over records to out, one row as each arrives;
-    the text is that of SurveyReport.to_csv()."""
+    """Write the CSV report over records to out, one row as each
+    arrives."""
     out.write(_CSV_HEADER + "\n")
     for r in records:
         out.write(_csv_line(r, mode, top_gap_1))
@@ -567,15 +559,17 @@ def write_csv(out: TextIO, records: Iterable[CandidateRecord],
 @dataclass(frozen=True)
 class SurveyReport:
     """A survey held in memory, as survey() returns it.  A saved report
-    becomes one from read_report's head config and tuple(records)."""
+    becomes one from read_report's head config and tuple(records).
+
+    custom_filter is the report's "custom_predicate" flag, which survey()
+    always sets to False.  The aggregates are read from tally.
+    """
 
     g_max: int
     mode: BoundMode
     top_gap_1: bool
     custom_filter: bool
     records: tuple[CandidateRecord, ...]
-
-    # aggregate views ------------------------------------------------------
 
     @cached_property
     def tally(self) -> SurveyTally:
@@ -585,24 +579,6 @@ class SurveyReport:
             tally.add(r)
         return tally
 
-    @property
-    def counts(self) -> dict[str, int]:
-        return self.tally.counts
-
-    @property
-    def hartley_exceptional(self) -> tuple[CandidateRecord, ...]:
-        return tuple(self.tally.hartley_exceptional)
-
-    def murasugi_exceptional(self, q: int) -> tuple[CandidateRecord, ...]:
-        """Records with a divides-qualified Murasugi hit at q."""
-        return tuple(self.tally.murasugi_exceptional.get(q, ()))
-
-    def hit_qs(self) -> list[int]:
-        """Sorted moduli q with at least one Murasugi hit in the report."""
-        return self.tally.hit_qs()
-
-    # serialization --------------------------------------------------------
-
     def to_json(self) -> str:
         """The report as compact ASCII JSON, encoded record by record."""
         head = _json_head(self.g_max, self.mode, self.top_gap_1,
@@ -610,50 +586,36 @@ class SurveyReport:
         return "".join([head, ",".join(map(_record_json, self.records)),
                         _JSON_TAIL])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        write_csv(buf, self.records, self.mode, self.top_gap_1)
-        return buf.getvalue()
-
 
 def survey_stream(g_max: int,
                   mode: BoundMode = BoundMode.HEURISTIC,
-                  filters: Optional[FilterConfig] = None,
+                  top_gap_1: bool = False,
                   jobs: int = 1,
                   progress: Optional[Callable[[int, int], None]] = None
                   ) -> Iterator[CandidateRecord]:
     """The records of survey(), in its order, each as it is computed.
 
-    Candidates are enumerated and chunked lazily (listed first only when
-    filters has a predicate) and a pool holds a bounded window of chunks,
-    so memory does not grow with g_max as long as the caller does not keep
-    the records.  progress is as in survey().
+    Candidates are enumerated and chunked lazily and a pool holds a
+    bounded window of chunks, so memory does not grow with g_max as long
+    as the caller does not keep the records.  progress is as in survey().
     """
-    filters = filters or FilterConfig()
     # enumeration order is already (genus, exponents)
-    cands = enumerate_candidates(g_max, filters)
-    if filters.predicate is None:
-        total = _candidate_count(g_max, filters.top_gap_1)
-    else:
-        # only the predicate knows what it keeps
-        cands = list(cands)
-        total = len(cands)
-    return _ordered_map(partial(candidate_record, mode=mode), cands, total,
-                        jobs, progress)
+    return _ordered_map(partial(candidate_record, mode=mode),
+                        enumerate_candidates(g_max, top_gap_1),
+                        _candidate_count(g_max, top_gap_1), jobs, progress)
 
 
 def survey(g_max: int,
            mode: BoundMode = BoundMode.HEURISTIC,
-           filters: Optional[FilterConfig] = None,
+           top_gap_1: bool = False,
            jobs: int = 1,
            progress: Optional[Callable[[int, int], None]] = None) -> SurveyReport:
     """Run the full pipeline; output is identical for every jobs value.
 
-    progress, when given, is called as progress(done, total) after each
-    processed chunk; it has no effect on the report.
+    top_gap_1 keeps only the candidates whose two top exponents differ by
+    1.  progress, when given, is called as progress(done, total) after
+    each processed chunk; it has no effect on the report.
     """
-    filters = filters or FilterConfig()
-    records = tuple(survey_stream(g_max, mode, filters, jobs, progress))
-    return SurveyReport(g_max=g_max, mode=mode, top_gap_1=filters.top_gap_1,
-                        custom_filter=filters.predicate is not None,
-                        records=records)
+    records = tuple(survey_stream(g_max, mode, top_gap_1, jobs, progress))
+    return SurveyReport(g_max=g_max, mode=mode, top_gap_1=top_gap_1,
+                        custom_filter=False, records=records)

@@ -165,9 +165,9 @@ def test_criterion_6_murasugi_vector():
 def test_criterion_7_ci_scale_survey():
     start = time.monotonic()
     rep = survey(10)
-    assert rep.counts["candidates"] == 1023
-    assert rep.hartley_exceptional == ()
-    assert rep.murasugi_exceptional(2) == ()
+    assert rep.tally.counts["candidates"] == 1023
+    assert rep.tally.hartley_exceptional == []
+    assert 2 not in rep.tally.murasugi_exceptional
     assert rep.to_json() == survey(10).to_json()
     _done(7, start, 600.0,
           "1023 candidates, no escapes through genus 10, deterministic")
@@ -183,20 +183,20 @@ def _exponents(poly: IntPoly) -> tuple[int, ...]:
 def test_criterion_8_full_survey():
     start = time.monotonic()
     rep = survey(16)
-    assert rep.counts["candidates"] == 65535
+    assert rep.tally.counts["candidates"] == 65535
     escapes = {(r.candidate.genus, r.candidate.exponents)
-               for r in rep.murasugi_exceptional(2)}
+               for r in rep.tally.murasugi_exceptional.get(2, ())}
     assert escapes == {(15, _exponents(D30)), (13, _exponents(D26))}
     elapsed = time.monotonic() - start
     assert elapsed < 4 * 3600
-    hx = rep.hartley_exceptional
+    hx = rep.tally.hartley_exceptional
     if hx:
         detail = "; ".join(
             f"genus {r.candidate.genus} exponents {r.candidate.exponents}"
             f" with members {r.hartley.members}" for r in hx)
         print(f"[criterion 8] FAIL: n-Hartley non-cyclotomic candidates "
               f"exist: {detail} ({elapsed:.1f}s)")
-    assert hx == (), (
+    assert hx == [], (
         "the zero-count expectation is genuinely unattainable for the "
         "unfiltered family: the genus-16 candidate with exponents "
         "(32, 29, 23, 21, 20, 19, 18, 16, 14, 13, 12, 11, 9, 3, 0) is "

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from freeperiod import survey
 from freeperiod.cli import _progress_printer, main
+from freeperiod.lspace import write_csv
 
 FIG8 = "t^2 - 3*t + 1"
 TREFOIL = "t^2 - t + 1"
@@ -354,7 +355,9 @@ def test_survey_csv_prints_the_report_csv(runner):
         res = runner.invoke(main, ["survey", "--max-genus", "4", "--csv",
                                    "--jobs", jobs])
         assert res.exit_code == 0
-        assert res.output == survey(4).to_csv()
+        rep, out = survey(4), io.StringIO()
+        write_csv(out, rep.records, rep.mode, rep.top_gap_1)
+        assert res.output == out.getvalue()
 
 
 def test_streamed_survey_json_keeps_the_pinned_genus_9_hash(runner):
@@ -369,6 +372,17 @@ def test_streamed_survey_json_keeps_the_pinned_genus_9_hash(runner):
         digest = hashlib.sha256(res.output[:-1].encode()).hexdigest()
         assert digest == ("a6dc799bb62328ab0ca1847d2abd9145"
                           "bb87d0993a4d584d6de47775198d6074")
+
+
+def test_top_gap_1_survey_json_keeps_the_pinned_hash(runner):
+    # the bytes of survey(8, RIGOROUS, top_gap_1=True).to_json(), pinned
+    # in tests/test_lspace.py
+    res = runner.invoke(main, ["survey", "--max-genus", "8", "--mode",
+                               "rigorous", "--filters", "top-gap-1", "--json"])
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256(res.output[:-1].encode()).hexdigest()
+    assert digest == ("258d2d0c73f7404fa628b02906334ddf"
+                      "28f40529d7275ebb295a1009b3fb31b5")
 
 
 def test_survey_csv_and_json_together_is_a_usage_error(runner):

@@ -16,7 +16,6 @@ from freeperiod import (
     BoundMode,
     Candidate,
     CandidateRecord,
-    FilterConfig,
     HartleySet,
     IntPoly,
     MurasugiHit,
@@ -30,7 +29,8 @@ from freeperiod import (
 )
 from freeperiod import lspace
 from freeperiod.cyclotomic import cyclotomic
-from freeperiod.lspace import _factor_candidate, parallel_map, read_report
+from freeperiod.lspace import (
+    _factor_candidate, parallel_map, read_report, write_csv)
 
 
 def bag(fp):
@@ -85,21 +85,12 @@ def test_validate_rejections():
 
 
 def test_top_gap_filter():
-    kept = list(enumerate_candidates(4, FilterConfig(top_gap_1=True)))
+    kept = list(enumerate_candidates(4, top_gap_1=True))
     assert len(kept) == 8
     assert all(c.top_gap == 1 for c in kept)
     # genus 1 has top gap 1 automatically; above that the filter halves
     assert [sum(c.genus == g for c in kept) for g in (1, 2, 3, 4)] == [1, 1, 2, 4]
     assert lspace._candidate_count(4, True) == len(kept)
-
-
-def test_custom_predicate_filter():
-    keep = lambda c: c.poly[1] == 0
-    kept = list(enumerate_candidates(4, FilterConfig(predicate=keep)))
-    assert kept and all(c.poly[1] == 0 for c in kept)
-    rep = survey(2, filters=FilterConfig(predicate=keep))
-    assert rep.custom_filter and not rep.top_gap_1
-    assert len(rep.records) == sum(c.poly[1] == 0 for c in enumerate_candidates(2))
 
 
 # -- per-candidate factoring -----------------------------------------------
@@ -147,17 +138,16 @@ def test_records_screen_only_noncyclotomic_candidates():
 
 def test_frozen_counts_through_genus_4():
     rep = survey(4)
-    assert rep.counts == {"candidates": 15, "cyclotomic_products": 11,
-                          "noncyclotomic": 4}
-    assert rep.counts["cyclotomic_products"] == sum(
+    assert rep.tally.counts == {"candidates": 15, "cyclotomic_products": 11,
+                                "noncyclotomic": 4}
+    assert rep.tally.counts["cyclotomic_products"] == sum(
         r.cyclotomic_product for r in rep.records)
 
 
 def test_small_survey_has_no_exceptional_candidates():
-    rep = survey(6)
-    assert rep.hartley_exceptional == ()
-    assert rep.murasugi_exceptional(2) == ()
-    assert all(rep.murasugi_exceptional(q) == () for q in rep.hit_qs())
+    tally = survey(6).tally
+    assert tally.hartley_exceptional == []
+    assert tally.murasugi_exceptional == {}
 
 
 def test_murasugi_hit_gate_requires_divides_by_default():
@@ -168,9 +158,14 @@ def test_murasugi_hit_gate_requires_divides_by_default():
     rec = CandidateRecord(candidate=base.candidate, factors=base.factors,
                           cyclotomic_product=False, hartley=base.hartley,
                           e_gcd=base.e_gcd, murasugi=(bare,))
-    assert not rec.murasugi_hit_at(2)
-    assert rec.murasugi_hit_at(2, require_divides=False)
-    assert not rec.murasugi_hit_at(3, require_divides=False)
+    assert not rec.murasugi_hit_at(2) and not rec.murasugi_hit_at(3)
+    # the bare hit is counted, and kept out of the exceptional lists
+    tally = lspace.SurveyTally()
+    tally.add(rec)
+    assert tally.bare_hits == {2: 1} and tally.murasugi_exceptional == {}
+    divides = dataclasses.replace(rec, murasugi=(
+        dataclasses.replace(bare, divides=True),))
+    assert divides.murasugi_hit_at(2) and not divides.murasugi_hit_at(3)
 
 
 def test_genus_16_square_candidate_is_the_known_hartley_window():
@@ -295,6 +290,15 @@ def test_survey_8_golden_hash(mode, expected):
     assert digest == expected
 
 
+def test_survey_8_top_gap_1_golden_hash():
+    # the one filtered report pinned; the survey command's --filters
+    # top-gap-1 prints the same bytes (tests/test_cli.py)
+    rep = survey(8, BoundMode.RIGOROUS, top_gap_1=True)
+    assert len(rep.records) == 128 and rep.top_gap_1
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "258d2d0c73f7404fa628b02906334ddf28f40529d7275ebb295a1009b3fb31b5"
+
+
 @pytest.fixture(scope="module")
 def g9_rigorous():
     return survey(9, BoundMode.RIGOROUS)
@@ -396,14 +400,20 @@ def test_record_by_record_json_is_the_one_shot_encoding():
 
 
 def test_streamed_report_writers_match_the_in_memory_report():
-    rep, _ = _report_with_exceptional_records()
+    rep, (a, b, c) = _report_with_exceptional_records()
     out = io.StringIO()
     lspace.write_json(out, iter(rep.records), rep.g_max, rep.mode,
-                      FilterConfig(top_gap_1=rep.top_gap_1))
+                      rep.top_gap_1)
     assert out.getvalue() == rep.to_json()
     out = io.StringIO()
-    lspace.write_csv(out, iter(rep.records), rep.mode, rep.top_gap_1)
-    assert out.getvalue() == rep.to_csv()
+    write_csv(out, iter(rep.records), rep.mode, rep.top_gap_1)
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert len(rows) == len(rep.records)
+    assert rows[a]["hartley_set"] == "{2}"
+    assert rows[b]["murasugi_hits"] == (
+        "q=2 lam=1 shift=0 sign=+1 divides=True;"
+        " q=3 lam=1 shift=0 sign=+1 divides=False")
+    assert rows[c]["murasugi_hits"] == "q=3 lam=1 shift=0 sign=+1 divides=False"
 
 
 def test_to_json_peak_memory_stays_near_the_output_size():
@@ -472,6 +482,22 @@ def test_read_report_rejects_a_cut_report():
             _drain(cut)
     with pytest.raises(ValueError, match='does not end in "]}"'):
         _drain(text[:-1])
+    # a cut at any point of any record reads as a cut, never as a record
+    # that is not JSON
+    first = text.index('"records":[') + len('"records":[')
+    for end in range(first, len(text) - 2):
+        with pytest.raises(ValueError, match="report ends"):
+            _drain(text[:end])
+
+
+@pytest.mark.parametrize("head", [
+    '{"version":1,"config":{},"records":[]}',
+    '{"version":1,"config":{},"aggregates":{},"records":[]}',
+    '{"version":1,"config":{},"aggregates":[],"records":[]}',
+])
+def test_read_report_rejects_a_head_without_the_candidate_count(head):
+    with pytest.raises(ValueError, match="no aggregates.candidates"):
+        read_report(io.StringIO(head))
 
 
 @pytest.mark.parametrize("tail", ["x", "]", "}", "\n{}", ",{}"])
@@ -522,6 +548,37 @@ def test_read_report_rejects_a_malformed_record(old, new):
         _drain(text.replace('},{"genus"', '}{"genus"', 1))
 
 
+class _CountingReader(io.StringIO):
+    def __init__(self, text):
+        super().__init__(text)
+        self.chars = 0
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.chars += len(chunk)
+        return chunk
+
+
+@pytest.mark.parametrize("index", [0, 19, 200, 510])
+def test_read_report_rejects_a_record_that_is_not_json_at_once(
+        g9_rigorous, index):
+    text = g9_rigorous.to_json()
+    starts = [text.index('"records":[') + len('"records":[')]
+    while len(starts) < 511:
+        starts.append(text.index(',{"genus":', starts[-1]) + 1)
+    # a control character inside a string is not JSON
+    bad = text.index('"poly":"', starts[index]) + len('"poly":"')
+    fp = _CountingReader(text[:bad] + "\x01" + text[bad:])
+    head, records = read_report(fp)
+    seen = []
+    with pytest.raises(ValueError, match=f"report record {index} is not JSON"):
+        seen.extend(records)
+    assert len(seen) == index
+    # the reader stops within one read past the record
+    record_end = starts[index + 1] if index < 510 else len(text)
+    assert fp.chars <= record_end + 1 + lspace._READ_SIZE
+
+
 def test_read_report_peak_memory_does_not_grow_with_the_record_count(
         tmp_path, g9_rigorous):
     def peak(rep):
@@ -542,9 +599,16 @@ def test_read_report_peak_memory_does_not_grow_with_the_record_count(
     assert big_peak < 2 * small_peak
 
 
+def _csv(rep):
+    """The CSV report of rep, as the survey command prints it."""
+    out = io.StringIO()
+    write_csv(out, rep.records, rep.mode, rep.top_gap_1)
+    return out.getvalue()
+
+
 def test_csv_shape_and_parseability():
     rep = survey(4)
-    text = rep.to_csv()
+    text = _csv(rep)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["genus", "exponents", "poly", "cyclotomic_product",
                        "e_gcd", "hartley_set", "murasugi_screened",
@@ -555,6 +619,6 @@ def test_csv_shape_and_parseability():
     # polynomial cells contain commas only via quoting, never raw
     assert all(len(r) == 10 for r in rows[1:])
     assert {(r[8], r[9]) for r in rows[1:]} == {("heuristic", "false")}
-    text = survey(4, BoundMode.RIGOROUS, FilterConfig(top_gap_1=True)).to_csv()
+    text = _csv(survey(4, BoundMode.RIGOROUS, top_gap_1=True))
     rows = list(csv.DictReader(io.StringIO(text)))
     assert {(r["mode"], r["top_gap_1"]) for r in rows} == {("rigorous", "true")}

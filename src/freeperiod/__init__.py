@@ -17,11 +17,9 @@ from .hartley import (
     EValue,
     HartleyProfile,
     HartleySet,
-    KnotCheckReport,
     WitnessCertificate,
     construct_witness,
     e_of_irreducible,
-    hartley_knot_check,
     hartley_profile,
     hartley_set,
     is_n_hartley,
@@ -60,7 +58,6 @@ __all__ = [
     "HartleyProfile",
     "HartleySet",
     "IntPoly",
-    "KnotCheckReport",
     "KnotRecord",
     "MurasugiHit",
     "SurveyReport",
@@ -73,7 +70,6 @@ __all__ = [
     "enumerate_candidates",
     "factor_over_z",
     "format_poly",
-    "hartley_knot_check",
     "hartley_profile",
     "hartley_set",
     "ingest_csv",

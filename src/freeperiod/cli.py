@@ -33,7 +33,6 @@ from .hartley import (
     BoundMode,
     HartleySet,
     construct_witness,
-    hartley_knot_check,
     hartley_profile,
     hartley_set,
     is_n_hartley,
@@ -226,20 +225,20 @@ def _evalue_line(res: dict) -> str:
 
 def _hartley_check_row(f: IntPoly, mode: BoundMode, order: int,
                        knot: bool) -> dict:
-    out = {"n": order}
     if knot:
-        rep = hartley_knot_check(f, order, mode)
-        out["verdict"] = rep.verdict
-        if rep.verdict:
-            out.update(witness=list(rep.certificate.witness),
-                       sign=rep.certificate.sign,
-                       witness_unit_at_one=rep.witness_unit_at_one,
-                       witness_palindromic=rep.witness_palindromic)
-        return out
-    out["verdict"] = is_n_hartley(hartley_profile(f, mode), order)
+        # a power of t is refused rather than stripped
+        if not f or f[0] == 0:
+            raise ValueError("Alexander polynomials have nonzero constant term")
+        f = normalize_alexander(f)
+    out = {"n": order, "verdict": is_n_hartley(hartley_profile(f, mode), order)}
     if out["verdict"]:
         cert = construct_witness(f, order, mode)
-        out.update(witness=list(cert.witness), sign=cert.sign)
+        w = cert.witness
+        out.update(witness=list(w), sign=cert.sign)
+        if knot:
+            # informational only: witnesses are far from unique
+            out.update(witness_unit_at_one=w(1) in (1, -1),
+                       witness_palindromic=w.is_palindromic_up_to_sign())
     return out
 
 
@@ -293,13 +292,14 @@ _per_poly("hartley-set",
 _per_poly("hartley-check",
           "Decide whether each polynomial is n-Hartley, with a witness.",
           _hartley_check_row, _hartley_check_line, _MODE,
-          click.option("--n", "order", type=int, required=True,
-                       help="period order to test"),
+          click.option("--n", "order", type=click.IntRange(min=2),
+                       required=True, help="period order to test"),
           click.option("--knot", is_flag=True,
                        help="enforce Alexander-polynomial preconditions first"))
 _per_poly("witness", "Construct and verify an order-n witness factorization.",
           _witness_row, _witness_line, _MODE,
-          click.option("--n", "order", type=int, required=True))
+          click.option("--n", "order", type=click.IntRange(min=2),
+                       required=True))
 _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
           _murasugi_row, _murasugi_line,
           click.option("--q", "period", type=int, default=None,

@@ -76,11 +76,6 @@ class EValue:
     def is_cyclotomic(self) -> bool:
         return self.cyclotomic_order is not None
 
-    def __str__(self) -> str:
-        if self.is_cyclotomic:
-            return f"0 (root of unity, order {self.cyclotomic_order})"
-        return str(self.e)
-
 
 def rational_power_index(numerator: int, denominator: int) -> EValue:
     """E for a rational alpha = numerator/denominator in lowest terms.
@@ -672,21 +667,7 @@ def construct_witness(
     return WitnessCertificate(n=n, witness=g, sign=sign, verified=True)
 
 
-# -- knot-flavored wrapper -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KnotCheckReport:
-    """n-Hartley verdict for an Alexander-normalizable polynomial, with
-    witness diagnostics that are informational only (witnesses are far
-    from unique)."""
-
-    delta: IntPoly
-    n: int
-    verdict: bool
-    certificate: Optional[WitnessCertificate]
-    witness_unit_at_one: Optional[bool]
-    witness_palindromic: Optional[bool]
+# -- Alexander normal form -------------------------------------------------
 
 
 def normalize_alexander(poly: IntPoly) -> IntPoly:
@@ -703,29 +684,3 @@ def normalize_alexander(poly: IntPoly) -> IntPoly:
     if not poly.is_palindromic_up_to_sign():
         raise ValueError("not palindromic up to sign")
     return poly
-
-
-def hartley_knot_check(
-    delta: IntPoly, n: int, mode: BoundMode = BoundMode.HEURISTIC
-) -> KnotCheckReport:
-    """Check the factorization condition for a knot-shaped polynomial.
-
-    Preconditions: delta(0) != 0, so a power of t is refused rather than
-    stripped, then those of normalize_alexander, which fixes the sign.
-    """
-    if not delta or delta[0] == 0:
-        raise ValueError("Alexander polynomials have nonzero constant term")
-    delta = normalize_alexander(delta)
-    profile = hartley_profile(delta, mode)
-    if not is_n_hartley(profile, n):
-        return KnotCheckReport(delta, n, False, None, None, None)
-    cert = construct_witness(delta, n, mode)
-    w = cert.witness
-    return KnotCheckReport(
-        delta,
-        n,
-        True,
-        cert,
-        w(1) in (1, -1),
-        w.is_palindromic_up_to_sign(),
-    )

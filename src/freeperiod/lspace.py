@@ -50,42 +50,43 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class Candidate:
+    """The candidate of genus g whose upper exponents are the slots
+    g+1+i for the bits i set in mask; the exponents and the polynomial
+    are built from these two integers on first use.
+
+    >>> Candidate(5, 0b1011).exponents == (10, 9, 7, 6, 5, 4, 3, 1, 0)
+    True
+    """
+
     genus: int
-    exponents: tuple[int, ...]
-    poly: IntPoly
+    mask: int
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        g, exps = self.genus, self.exponents
-        if g < 1:
+        if self.genus < 1:
             raise ValueError("genus must be positive")
-        if len(exps) % 2 == 0:
-            raise ValueError("even number of terms")
-        if any(a <= b for a, b in zip(exps, exps[1:])):
-            raise ValueError("exponents must strictly decrease")
-        if exps[0] != 2 * g or exps[-1] != 0:
-            raise ValueError("exponents must run from 2*genus to 0")
-        if any(a + b != 2 * g for a, b in zip(exps, reversed(exps))):
-            raise ValueError("exponent sequence must be symmetric")
-        expect = IntPoly.from_terms(
-            (b, (-1) ** j) for j, b in enumerate(exps))
-        if expect != self.poly:
-            raise ValueError("polynomial does not match exponents")
-        assert self.poly(1) == 1
+        if not 0 <= self.mask < 1 << (self.genus - 1):
+            raise ValueError(f"mask must lie in [0, 2^{self.genus - 1})")
 
     @classmethod
-    def from_gap_set(cls, genus: int, upper: frozenset[int]) -> "Candidate":
-        top = sorted(upper, reverse=True)
-        exps = ([2 * genus] + top + [genus]
-                + [2 * genus - b for b in reversed(top)] + [0])
-        poly = IntPoly.from_terms((b, (-1) ** j) for j, b in enumerate(exps))
-        return cls(genus=genus, exponents=tuple(exps), poly=poly)
+    def from_gap_set(cls, genus: int, upper: Iterable[int]) -> "Candidate":
+        """The candidate whose upper exponents, those in (genus, 2*genus),
+        are upper."""
+        upper = frozenset(upper)
+        if any(not genus < b < 2 * genus for b in upper):
+            raise ValueError(
+                f"upper exponents must lie in ({genus}, {2 * genus})")
+        return cls(genus, sum(1 << (b - genus - 1) for b in upper))
 
-    @property
-    def top_gap(self) -> int:
-        return self.exponents[0] - self.exponents[1]
+    @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        g = self.genus
+        top = [g + 1 + i for i in range(g - 2, -1, -1) if self.mask >> i & 1]
+        return (2 * g, *top, g, *(2 * g - b for b in reversed(top)), 0)
+
+    @cached_property
+    def poly(self) -> IntPoly:
+        return IntPoly.from_terms(
+            (b, (-1) ** j) for j, b in enumerate(self.exponents))
 
 
 def enumerate_candidates(g_max: int,
@@ -95,15 +96,12 @@ def enumerate_candidates(g_max: int,
     if g_max < 1:
         raise ValueError("g_max must be positive")
     for g in range(1, g_max + 1):
-        slots = range(g + 1, 2 * g)
-        # bit i of mask is slot g+1+i, so masks rise exactly as the
-        # exponent tuples do: the first differing exponent is the highest
-        # slot in which the two masks differ
-        for mask in range(1 << len(slots)):
-            upper = frozenset(b for i, b in enumerate(slots) if mask >> i & 1)
-            cand = Candidate.from_gap_set(g, upper)
-            if not top_gap_1 or cand.top_gap == 1:
-                yield cand
+        # masks rise exactly as the exponent tuples do: the first differing
+        # exponent is the highest slot in which two masks differ.  Top gap
+        # 1 means slot 2g-1, the top bit, is set.
+        low = 1 << (g - 2) if top_gap_1 and g > 1 else 0
+        for mask in range(low, 1 << (g - 1)):
+            yield Candidate(g, mask)
 
 
 def _candidate_count(g_max: int, top_gap_1: bool) -> int:
@@ -409,7 +407,7 @@ def _record_from_json(rec: dict) -> CandidateRecord:
     exponents and poly are those of the candidate they name."""
     genus, exps = rec["genus"], rec["exponents"]
     cand = Candidate.from_gap_set(
-        genus, frozenset(b for b in exps if genus < b < 2 * genus))
+        genus, (b for b in exps if genus < b < 2 * genus))
     if list(cand.exponents) != exps or format_poly(cand.poly) != rec["poly"]:
         raise ValueError(f"record {exps} does not rebuild its candidate")
     hs, hits = rec["hartley"], rec["murasugi"]

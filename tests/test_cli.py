@@ -198,6 +198,16 @@ def test_jobs_below_one_is_a_usage_error(runner, command, jobs):
     assert "--jobs" in res.stderr
 
 
+@pytest.mark.parametrize("command", [["hartley-check", "--poly", FIG8],
+                                     ["witness", "--poly", FIG8]],
+                         ids=["hartley-check", "witness"])
+@pytest.mark.parametrize("order", ["1", "0"])
+def test_n_below_two_is_a_usage_error(runner, command, order):
+    res = runner.invoke(main, command + ["--n", order])
+    assert res.exit_code == 2
+    assert "--n" in res.stderr
+
+
 def test_ingest_human_json_and_strict(runner, table):
     res = runner.invoke(main, ["ingest", table])
     assert res.exit_code == 0

@@ -15,7 +15,6 @@ from freeperiod import (
     construct_witness,
     e_of_irreducible,
     factor_over_z,
-    hartley_knot_check,
     hartley_profile,
     hartley_set,
     is_n_hartley,
@@ -29,6 +28,7 @@ from freeperiod import (
     verify_witness,
 )
 from freeperiod import hartley
+from freeperiod.cli import _hartley_check_row
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import (
     _aux_primes, _cyclotomic_rotation_product, _power_residue_rejects)
@@ -69,7 +69,7 @@ def test_evalue_class():
     assert not EValue.finite(3).is_cyclotomic
     ev = EValue.cyclotomic_zero(6)
     assert ev.is_cyclotomic and ev.e == 0
-    assert "order 6" in str(ev)
+    assert ev.cyclotomic_order == 6
     with pytest.raises(ValueError):
         EValue.finite(0)
 
@@ -602,35 +602,37 @@ def test_decision_and_witness_cohere(fs, n):
             construct_witness(delta, n)
 
 
-# -- knot wrapper ----------------------------------------------------------
+# -- hartley-check --knot ---------------------------------------------------
+
+
+def _knot_check(delta, n):
+    return _hartley_check_row(delta, BoundMode.HEURISTIC, n, knot=True)
 
 
 def test_knot_check_fig8_passes_preconditions():
-    rep = hartley_knot_check(FIG8, 2)
-    assert rep.verdict and rep.certificate.witness == GOLDEN
-    assert rep.certificate.sign == 1
-    assert rep.witness_unit_at_one
+    row = _knot_check(FIG8, 2)
+    assert row["verdict"] and row["witness"] == list(GOLDEN)
+    assert row["sign"] == 1
+    assert row["witness_unit_at_one"]
     # the golden witness is not self-reciprocal: its mirror is t^2 + t - 1
-    assert not rep.witness_palindromic
+    assert not row["witness_palindromic"]
 
 
 def test_knot_check_normalizes_negative_constant():
-    rep = hartley_knot_check(-FIG8, 2)
-    assert rep.verdict and rep.delta == FIG8
+    assert _knot_check(-FIG8, 2) == _knot_check(FIG8, 2)
 
 
 def test_knot_check_negative_verdict():
-    rep = hartley_knot_check(FIG8, 4)
-    assert not rep.verdict and rep.certificate is None
+    assert _knot_check(FIG8, 4) == {"n": 4, "verdict": False}
 
 
 def test_knot_check_precondition_failures():
-    with pytest.raises(ValueError):
-        hartley_knot_check(parse_poly("t^2-2"), 2)  # not palindromic
-    with pytest.raises(ValueError):
-        hartley_knot_check(parse_poly("t^2+2t+1"), 2)  # value 4 at 1
-    with pytest.raises(ValueError):
-        hartley_knot_check(IntPoly((0, 1, 1)), 2)  # vanishes at 0
+    with pytest.raises(ValueError, match="not palindromic"):
+        _knot_check(parse_poly("t^2-2"), 2)
+    with pytest.raises(ValueError, match="value at 1 is 4"):
+        _knot_check(parse_poly("t^2+2t+1"), 2)
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        _knot_check(IntPoly((0, 1, 1)), 2)
 
 
 def _knot_shaped(cs, alexander, unit, sign, k):
@@ -654,6 +656,12 @@ def test_knot_check_refuses_exactly_what_the_normaliser_refuses(delta, n):
         want = None
     if want is None or delta[0] == 0:
         with pytest.raises(ValueError):
-            hartley_knot_check(delta, n)
+            _knot_check(delta, n)
     else:
-        assert hartley_knot_check(delta, n).delta == want
+        # --knot answers for the normal form, plus witness diagnostics
+        row = _knot_check(delta, n)
+        plain = _hartley_check_row(want, BoundMode.HEURISTIC, n, knot=False)
+        assert {k: row[k] for k in plain} == plain
+        assert row.keys() - plain.keys() == (
+            {"witness_unit_at_one", "witness_palindromic"} if row["verdict"]
+            else set())

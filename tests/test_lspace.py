@@ -73,24 +73,48 @@ def test_from_gap_set_round_trip():
 
 
 def test_validate_rejections():
-    good = Candidate.from_gap_set(2, frozenset({3}))
     with pytest.raises(ValueError, match="genus must be positive"):
-        Candidate(genus=0, exponents=(0,), poly=IntPoly.one())
-    with pytest.raises(ValueError, match="symmetric"):
-        Candidate(genus=3, exponents=(6, 5, 4, 1, 0), poly=good.poly)
-    with pytest.raises(ValueError, match="strictly decrease"):
-        Candidate(genus=2, exponents=(4, 3, 3, 1, 0), poly=good.poly)
-    with pytest.raises(ValueError, match="does not match"):
-        Candidate(genus=2, exponents=(4, 2, 0), poly=good.poly)
+        Candidate(0, 0)
+    # genus 4 has slots 5, 6, 7: bits 0..2, so bit 3 is past g - 2
+    assert Candidate(4, 0b111).exponents == (8, 7, 6, 5, 4, 3, 2, 1, 0)
+    with pytest.raises(ValueError, match=r"mask must lie in \[0, 2\^3\)"):
+        Candidate(4, 0b1000)
+    with pytest.raises(ValueError, match="mask"):
+        Candidate(4, -1)
+    for upper in ({5}, {9, 10}, {3}):
+        with pytest.raises(ValueError, match=r"must lie in \(5, 10\)"):
+            Candidate.from_gap_set(5, upper)
 
 
 def test_top_gap_filter():
     kept = list(enumerate_candidates(4, top_gap_1=True))
     assert len(kept) == 8
-    assert all(c.top_gap == 1 for c in kept)
+    assert all(c.exponents[0] - c.exponents[1] == 1 for c in kept)
     # genus 1 has top gap 1 automatically; above that the filter halves
     assert [sum(c.genus == g for c in kept) for g in (1, 2, 3, 4)] == [1, 1, 2, 4]
     assert lspace._candidate_count(4, True) == len(kept)
+
+
+def _gap_set_candidate(genus, upper):
+    """(exponents, poly) of the candidate with upper exponents upper, by
+    the exponent-list formula, independent of masks."""
+    top = sorted(upper, reverse=True)
+    exps = ([2 * genus] + top + [genus]
+            + [2 * genus - b for b in reversed(top)] + [0])
+    return tuple(exps), IntPoly.from_terms(
+        (b, (-1) ** j) for j, b in enumerate(exps))
+
+
+def test_mask_enumeration_matches_the_exponent_formula_through_genus_12():
+    every = list(enumerate_candidates(12))
+    top = [c for c in every if 2 * c.genus - 1 in c.exponents]
+    assert list(enumerate_candidates(12, top_gap_1=True)) == top
+    for cand in every:
+        upper = [b for b in range(cand.genus + 1, 2 * cand.genus)
+                 if cand.mask >> (b - cand.genus - 1) & 1]
+        assert (cand.exponents, cand.poly) == _gap_set_candidate(
+            cand.genus, upper)
+        assert Candidate.from_gap_set(cand.genus, upper) == cand
 
 
 # -- per-candidate factoring -----------------------------------------------
@@ -172,7 +196,7 @@ def test_genus_16_square_candidate_is_the_known_hartley_window():
     # the one alternating candidate through genus 16 whose root is a square
     # in its own field; its top gap is 3, outside the gap-1 subfamily
     cand = Candidate.from_gap_set(16, frozenset({29, 23, 21, 20, 19, 18}))
-    assert cand.top_gap == 3
+    assert cand.exponents[0] - cand.exponents[1] == 3
     rec = candidate_record(cand)
     assert not rec.cyclotomic_product
     assert dict(rec.factors) == {cand.poly: 1}
@@ -186,11 +210,12 @@ def test_genus_16_square_candidate_is_the_known_hartley_window():
 
 
 def test_survey_is_deterministic_and_jobs_invariant():
-    first = survey(5)
-    again = survey(5)
-    forked = survey(5, jobs=3)
-    assert first == again == forked
-    assert first.to_json() == again.to_json() == forked.to_json()
+    for top_gap_1 in (False, True):
+        first = survey(5, top_gap_1=top_gap_1)
+        again = survey(5, top_gap_1=top_gap_1)
+        forked = survey(5, top_gap_1=top_gap_1, jobs=3)
+        assert first == again == forked
+        assert first.to_json() == again.to_json() == forked.to_json()
 
 
 def test_parallel_map_caps_workers_at_the_cpu_count(monkeypatch):

@@ -302,8 +302,8 @@ _per_poly("witness", "Construct and verify an order-n witness factorization.",
                        required=True))
 _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
           _murasugi_row, _murasugi_line,
-          click.option("--q", "period", type=int, default=None,
-                       help="screen one prime-power period"),
+          click.option("--q", "period", type=click.IntRange(min=2),
+                       default=None, help="screen one prime-power period"),
           click.option("--all", "do_all", is_flag=True,
                        help="screen every prime power up to deg + 1"),
           check=_murasugi_check)

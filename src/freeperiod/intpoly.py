@@ -504,13 +504,14 @@ def parse_poly(text: str) -> IntPoly:
 
 def format_poly(f: IntPoly) -> str:
     """Canonical symbolic form, descending powers; reparses to f."""
-    if not f:
-        return "0"
+    return format_terms((k, c) for k, c in reversed(tuple(enumerate(f.coeffs))) if c)
+
+
+def format_terms(terms: Iterable[tuple[int, int]]) -> str:
+    """format_poly of the sum of c t^k over the terms (k, c), given with
+    k descending and c nonzero, without building the polynomial."""
     parts: list[str] = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
+    for k, c in terms:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
@@ -522,4 +523,4 @@ def format_poly(f: IntPoly) -> str:
             parts.append(body if sign == "+" else f"-{body}")
         else:
             parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return "".join(parts) or "0"

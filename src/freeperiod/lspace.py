@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Typ
 
 from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
-from .intpoly import IntPoly, format_poly
+from .intpoly import IntPoly, format_poly, format_terms
 from .modpoly import gfp_eval, is_prime
 from .murasugi import MurasugiHit, murasugi_screen_all
 from .zfactor import FactoredPoly, factor_over_z
@@ -64,7 +64,7 @@ class Candidate:
     def __post_init__(self) -> None:
         if self.genus < 1:
             raise ValueError("genus must be positive")
-        if not 0 <= self.mask < 1 << (self.genus - 1):
+        if self.mask < 0 or self.mask.bit_length() >= self.genus:
             raise ValueError(f"mask must lie in [0, 2^{self.genus - 1})")
 
     @classmethod
@@ -79,9 +79,11 @@ class Candidate:
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
-        g = self.genus
-        top = [g + 1 + i for i in range(g - 2, -1, -1) if self.mask >> i & 1]
-        return (2 * g, *top, g, *(2 * g - b for b in reversed(top)), 0)
+        g, m, upper = self.genus, self.mask, []
+        while m:  # the set bits, lowest first: bit i is slot g+1+i
+            upper.append(g + (m & -m).bit_length())
+            m &= m - 1
+        return (2 * g, *reversed(upper), g, *(2 * g - b for b in upper), 0)
 
     @cached_property
     def poly(self) -> IntPoly:
@@ -408,7 +410,8 @@ def _record_from_json(rec: dict) -> CandidateRecord:
     genus, exps = rec["genus"], rec["exponents"]
     cand = Candidate.from_gap_set(
         genus, (b for b in exps if genus < b < 2 * genus))
-    if list(cand.exponents) != exps or format_poly(cand.poly) != rec["poly"]:
+    if list(cand.exponents) != exps or format_terms(
+            (b, (-1) ** j) for j, b in enumerate(exps)) != rec["poly"]:
         raise ValueError(f"record {exps} does not rebuild its candidate")
     hs, hits = rec["hartley"], rec["murasugi"]
     return CandidateRecord(

@@ -18,21 +18,17 @@ Two modes:
              (2) Non-monic f: alpha is not integral, so neither is theta;
                  the primitive minimal polynomial of theta then has
                  |lc| >= 2, so M(theta) >= 2 and E <= log2 M(alpha).
-             (3) Measure gap at d <= 6: E <= log2 M(alpha) / log2 m_d, with
-                 m_d the minimal measure at degree d, an exhaustively
-                 computed table (see scripts/gen_mahler_table.py for the
-                 search and its completeness argument).
   HEURISTIC  assumes no measure below 1.17628 (the smallest known, degree
              10, open whether minimal).  Reports built on it must carry a
              non-rigorous flag.
 
-All measure constants are stored as exact rational LOWER bounds on log2 of
-the measure, so dividing an exact rational upper bound on log2 M(alpha) by
-them can only overestimate E.  The upper bound is intpoly.log_mahler_upper:
-Landau's M(g) <= ||g||_2 on the Graeffe iterates g = G^k f, where
-M(G^k f) = M(f)^(2^k), all in exact integer arithmetic.  The house bound
-reads Fujiwara's root bound off the same iterates, also in integers, so no
-float touches a bound.
+The one stored measure constant, Lehmer's, is an exact rational LOWER
+bound on log2 of the measure, so dividing an exact rational upper bound on
+log2 M(alpha) by it can only overestimate E.  The upper bound is
+intpoly.log_mahler_upper: Landau's M(g) <= ||g||_2 on the Graeffe iterates
+g = G^k f, where M(G^k f) = M(f)^(2^k), all in exact integer arithmetic.
+The house bound reads Fujiwara's root bound off the same iterates, also in
+integers, so no float touches a bound.
 """
 
 from __future__ import annotations
@@ -52,27 +48,6 @@ class BoundMode(Enum):
 
 # log2(1.17628) rounded down; tests recheck 2^1171 <= 1.17628^5000 exactly.
 LEHMER_LOG2_LB = Fraction(1171, 5000)
-
-# Frozen output of scripts/gen_mahler_table.py: for each degree d, a lower
-# bound on log2 of the minimal Mahler measure among degree-d irreducible
-# non-cyclotomic integer polynomials, and the measure-minimizing polynomial.
-# Degree 6 attains the degree-3 (plastic) measure via the irreducible
-# inflation t^6 + t^4 - 1.
-MIN_LOG2_TABLE: dict[int, Fraction] = {
-    2: Fraction(694231, 1000000),  # 1.6180339887  t^2 + t - 1
-    3: Fraction(16227, 40000),  # 1.3247179572  t^3 + t^2 - 1
-    4: Fraction(116237, 250000),  # 1.3802775691  t^4 + t - 1
-    5: Fraction(86529, 200000),  # 1.3497161047  t^5 - t^4 + t^2 - t + 1
-    6: Fraction(16227, 40000),  # 1.3247179572  t^6 + t^4 - 1
-}
-
-MIN_MEASURE_WITNESS: dict[int, tuple[int, ...]] = {
-    2: (-1, 1, 1),
-    3: (-1, 0, 1, 1),
-    4: (-1, 1, 0, 0, 1),
-    5: (1, -1, 1, 0, -1, 1),
-    6: (-1, 0, 0, 0, 1, 0, 1),
-}
 
 
 def house_bound(iterates: list[IntPoly]) -> int:
@@ -103,14 +78,10 @@ def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     HEURISTIC: E <= log2 M(f) / log2(1.17628).
 
     RIGOROUS: Dimitrov's E <= 4d log2 house(f) (house_bound) when f is
-    monic, E <= log2 M(f) from M(theta) >= |lc(theta)| >= 2 when it is not,
-    and at d <= 6 also the measure gap E <= log2 M(f) / log2 m_d from the
-    exhaustive table.  All rest on theta^E = alpha with theta in Q(alpha):
-    theta then has degree d, M(alpha) = M(theta)^E and
-    house(alpha) = house(theta)^E; see the module docstring.  The Graeffe
-    iterates are built once for both numerators, and the measure bound is
-    computed only for a term that uses it: never for a monic f above
-    degree 6.
+    monic, E <= log2 M(f) from M(theta) >= |lc(theta)| >= 2 when it is not.
+    Both rest on theta^E = alpha with theta in Q(alpha): theta then has
+    degree d, M(alpha) = M(theta)^E and house(alpha) = house(theta)^E; see
+    the module docstring.
     """
     d = f.degree
     if not isinstance(d, int) or d < 2:
@@ -121,11 +92,8 @@ def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     iterates = graeffe_iterates(f)
     if mode is BoundMode.HEURISTIC:
         bound = math.floor(log_mahler_upper(f, iterates) / LEHMER_LOG2_LB)
+    elif f.lc == 1:
+        bound = house_bound(iterates)
     else:
-        monic = f.lc == 1
-        log_m = (None if monic and d not in MIN_LOG2_TABLE
-                 else log_mahler_upper(f, iterates))
-        bound = house_bound(iterates) if monic else math.floor(log_m)
-        if d in MIN_LOG2_TABLE:
-            bound = min(bound, math.floor(log_m / MIN_LOG2_TABLE[d]))
+        bound = math.floor(log_mahler_upper(f, iterates))
     return max(1, bound)

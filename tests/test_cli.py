@@ -208,6 +208,13 @@ def test_n_below_two_is_a_usage_error(runner, command, order):
     assert "--n" in res.stderr
 
 
+@pytest.mark.parametrize("period", ["1", "0", "-3"])
+def test_murasugi_q_below_two_is_a_usage_error(runner, period):
+    res = runner.invoke(main, ["murasugi", "--poly", FIG8, "--q", period])
+    assert res.exit_code == 2
+    assert "--q" in res.stderr
+
+
 def test_ingest_human_json_and_strict(runner, table):
     res = runner.invoke(main, ["ingest", table])
     assert res.exit_code == 0

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import time
 import tracemalloc
 from concurrent.futures import Future
 
@@ -555,6 +556,22 @@ def test_read_report_rejects_a_record_that_does_not_rebuild_its_candidate(old, n
     assert text.count(old) == 1
     with pytest.raises(ValueError, match="does not rebuild its candidate"):
         _drain(text.replace(old, new))
+
+
+def test_read_report_checks_a_huge_genus_record_without_its_polynomial():
+    # the poly string is checked against the record's own exponents, so a
+    # genus-10^7 record builds no polynomial of degree 2*10^7
+    g = 10**7
+    text = survey(1).to_json().replace(
+        '"genus":1,"exponents":[2,1,0],"poly":"t^2 - t + 1"',
+        f'"genus":{g},"exponents":[{2 * g},{g},0],"poly":"t^{2 * g} - t^{g} + 1"')
+    start = time.monotonic()
+    head, (record,) = _drain(text)
+    assert time.monotonic() - start < 0.5
+    assert record.candidate == Candidate(g, 0)
+    assert "poly" not in vars(record.candidate)
+    with pytest.raises(ValueError, match="does not rebuild its candidate"):
+        _drain(text.replace(" + 1", " + 2"))
 
 
 @pytest.mark.parametrize("old, new", [

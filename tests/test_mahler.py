@@ -10,21 +10,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freeperiod import (
     BoundMode,
+    EValue,
     IntPoly,
+    content_primitive,
     e_of_irreducible,
     enumerate_candidates,
+    parse_poly,
     power_index,
     prime_bound,
     rotation_product_deflated,
 )
 from freeperiod.cyclotomic import cyclotomic, cyclotomic_tag
 from freeperiod.intpoly import graeffe_iterates, log_mahler_upper
-from freeperiod.mahler import (
-    LEHMER_LOG2_LB,
-    MIN_LOG2_TABLE,
-    MIN_MEASURE_WITNESS,
-    house_bound,
-)
+from freeperiod.mahler import LEHMER_LOG2_LB, house_bound
 from freeperiod.modpoly import is_prime
 from freeperiod.zfactor import factor_over_z
 
@@ -39,29 +37,14 @@ def numeric_log2_measure(f: IntPoly) -> float:
     return out
 
 
+def numeric_house(f: IntPoly) -> float:
+    return max(abs(z) for z in np.roots(list(reversed(f.coeffs))))
+
+
 def test_lehmer_constant_is_exact_floor():
     # 2^(1171/5000) <= 1.17628 < 2^(1172/5000), in integer arithmetic
     assert 2**1171 * 100000**5000 <= 117628**5000
     assert 2**1172 * 100000**5000 > 117628**5000
-
-
-def test_table_witnesses_attain_the_bounds():
-    for d, lb in MIN_LOG2_TABLE.items():
-        w = IntPoly(MIN_MEASURE_WITNESS[d])
-        assert w.degree == d
-        fac = factor_over_z(w)
-        assert len(fac.factors) == 1 and fac.factors[0][1] == 1
-        measured = numeric_log2_measure(w)
-        # the stored value is a lower bound, and a sharp one
-        assert float(lb) <= measured + 1e-12
-        assert measured - float(lb) < 1e-4
-
-
-def test_degree_six_matches_degree_three():
-    # an irreducible inflation carries the plastic measure up to degree 6
-    assert MIN_LOG2_TABLE[6] == MIN_LOG2_TABLE[3]
-    w3, w6 = IntPoly(MIN_MEASURE_WITNESS[3]), IntPoly(MIN_MEASURE_WITNESS[6])
-    assert abs(numeric_log2_measure(w6) - numeric_log2_measure(w3)) < 1e-9
 
 
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1,
@@ -77,22 +60,21 @@ def landau_log2_upper(f: IntPoly) -> Fraction:
 
 
 def test_prime_bound_frozen_values():
-    # Graeffe-Landau values; Landau's bound on f alone gave 3/1 and 7/2
+    # heuristic: Graeffe-Landau values (Landau's bound on f alone gave 3
+    # and 7); rigorous: Dimitrov's house bound, as both are monic
     golden = IntPoly((-1, -1, 1))
     fig8 = IntPoly((1, -3, 1))
-    cases = [(golden, BoundMode.HEURISTIC, 2), (golden, BoundMode.RIGOROUS, 1),
-             (fig8, BoundMode.HEURISTIC, 5), (fig8, BoundMode.RIGOROUS, 2)]
-    for f, mode, value in cases:
-        bound = prime_bound(f, mode)
-        assert bound == value
-        # the measure gap of the mode at degree 2
-        gap = LEHMER_LOG2_LB if mode is BoundMode.HEURISTIC else MIN_LOG2_TABLE[2]
+    for f, heuristic, rigorous in [(golden, 2, 5), (fig8, 5, 11)]:
+        assert prime_bound(f, BoundMode.HEURISTIC) == heuristic
         # sound: no smaller than the bound from the numeric measure
-        measured = numeric_log2_measure(f) / float(gap)
-        assert bound >= math.floor(measured)
+        measured = numeric_log2_measure(f) / float(LEHMER_LOG2_LB)
+        assert heuristic >= math.floor(measured)
         # never looser than Landau's bound on f itself
-        landau = landau_log2_upper(f) / gap
-        assert bound <= max(1, math.floor(landau))
+        landau = landau_log2_upper(f) / LEHMER_LOG2_LB
+        assert heuristic <= max(1, math.floor(landau))
+        assert prime_bound(f, BoundMode.RIGOROUS) == rigorous
+        # sound: no smaller than Dimitrov's bound on the numeric house
+        assert rigorous >= math.floor(4 * f.degree * math.log2(numeric_house(f)) - 1e-9)
 
 
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1,
@@ -111,14 +93,6 @@ def test_log_mahler_upper_on_repeated_unit_roots(f):
     assert numeric_log2_measure(f) <= float(q) - 0.05
 
 
-def test_prime_bound_rigorous_never_looser():
-    for coeffs in [(-1, -1, 1), (1, -3, 1), (-1, -1, 0, 1), (-4, 5, -3, 1),
-                   (2, -3, 2), (-1, 1, 0, 0, 1)]:
-        f = IntPoly(coeffs)
-        assert prime_bound(f, BoundMode.RIGOROUS) <= \
-            prime_bound(f, BoundMode.HEURISTIC)
-
-
 def test_prime_bound_rejections():
     with pytest.raises(ValueError):
         prime_bound(cyclotomic(6))
@@ -128,7 +102,7 @@ def test_prime_bound_rejections():
         prime_bound(IntPoly((5,)))
 
 
-# -- the rigorous bound: Dimitrov's house bound, M >= 2, the table --------
+# -- the rigorous bound: Dimitrov's house bound and M >= 2 ----------------
 
 
 @st.composite
@@ -142,9 +116,41 @@ def monic_polys(draw):
 
 @given(monic_polys())
 def test_house_bound_is_an_upper_bound(f):
-    house = max(abs(z) for z in np.roots(list(reversed(f.coeffs))))
-    d = f.degree
-    assert house_bound(graeffe_iterates(f)) >= math.floor(4 * d * math.log2(house) - 1e-9)
+    numeric = 4 * f.degree * math.log2(numeric_house(f))
+    assert house_bound(graeffe_iterates(f)) >= math.floor(numeric - 1e-9)
+
+
+@st.composite
+def degree_2_to_8_polys(draw):
+    d = draw(st.integers(min_value=2, max_value=8))
+    ends = st.integers(min_value=1, max_value=5).flatmap(
+        lambda c: st.sampled_from([c, -c]))
+    middle = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=d - 1,
+                           max_size=d - 1))
+    return IntPoly((draw(ends), *middle, draw(ends)))
+
+
+@given(degree_2_to_8_polys())
+def test_rigorous_bound_is_the_house_bound_or_log2_measure(f):
+    # two terms at every degree: Dimitrov's for a monic primitive part,
+    # M(theta) >= 2 for any other
+    g = content_primitive(f)[1]
+    assume(cyclotomic_tag(g) is None)
+    iterates = graeffe_iterates(g)
+    term = (house_bound(iterates) if g.lc == 1
+            else math.floor(log_mahler_upper(g, iterates)))
+    assert prime_bound(f, BoundMode.RIGOROUS) == max(1, term)
+
+
+@pytest.mark.parametrize("f, bound", [
+    (parse_poly("t^6 - t^4 + t^3 - t^2 + 1"), 12),
+    (parse_poly("t^6 + t^5 - t^4 - t^3 - t^2 + t + 1"), 15)])
+def test_rigorous_bound_on_the_degree_6_survey_factors(f, bound):
+    # the only non-cyclotomic factors of degree <= 6 of the candidates
+    # through genus 16; the screen rejects every prime up to the bound
+    assert factor_over_z(f).factors == ((f, 1),)
+    assert prime_bound(f, BoundMode.RIGOROUS) == bound
+    assert e_of_irreducible(f, BoundMode.RIGOROUS) == EValue.finite(1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,8 +158,8 @@ def test_house_bound_is_an_upper_bound(f):
        st.integers(min_value=2, max_value=7), st.sampled_from([1, 2, 3]))
 def test_rigorous_bound_admits_a_true_power(middle, n, lc):
     # R(x) = prod (x - beta^n) over the roots beta of g; when R is
-    # irreducible its root beta^n generates Q(beta), so E >= n.  Above
-    # degree 6 the house bound (monic g) or log2 M (non-monic g) decides.
+    # irreducible its root beta^n generates Q(beta), so E >= n.  The house
+    # bound (monic g) or log2 M (non-monic g) decides at every degree.
     g = IntPoly((middle[0] or 1, *middle[1:], lc))
     r = rotation_product_deflated(g, n)
     fac = factor_over_z(r)
@@ -218,7 +224,7 @@ def test_rigorous_bound_frozen_house_value():
 def test_rigorous_bound_non_primitive_keeps_the_measure_gap():
     # 2 (t^2 - 47t + 1) has the root phi^8 (E = 8): its leading coefficient
     # says nothing about integrality, so the bound is that of its primitive
-    # part, the measure gap at degree 2, and not M(theta) >= 2
+    # part, Dimitrov's house bound, and not M(theta) >= 2
     f = IntPoly((2, -94, 2))
     assert prime_bound(f, BoundMode.RIGOROUS) == prime_bound(IntPoly((1, -47, 1)),
                                                             BoundMode.RIGOROUS) >= 8

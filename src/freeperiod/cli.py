@@ -31,7 +31,6 @@ import click
 
 from .hartley import (
     BoundMode,
-    HartleySet,
     construct_witness,
     hartley_profile,
     hartley_set,
@@ -143,20 +142,21 @@ def _inputs(poly: Optional[str], poly_file: Optional[str]) -> list[tuple[Optiona
     return [(r.name, r.alexander) for r in records]
 
 
-def _row(row: Callable[..., dict], opts: dict,
-         item: tuple[Optional[str], IntPoly]) -> dict:
+def _row(row: Callable[..., tuple[dict, str]], opts: dict,
+         item: tuple[Optional[str], IntPoly]) -> tuple[dict, str]:
     name, f = item
-    return {"name": name, "poly": format_poly(f), **row(f, **opts)}
+    out, line = row(f, **opts)
+    prefix = f"{name}: " if name else ""
+    return {"name": name, "poly": format_poly(f), **out}, prefix + line
 
 
-def _per_poly(name: str, summary: str, row: Callable[..., dict],
-              line: Callable[[dict], str], *options,
-              check: Optional[Callable[..., None]] = None) -> None:
+def _per_poly(name: str, summary: str, row: Callable[..., tuple[dict, str]],
+              *options, check: Optional[Callable[..., None]] = None) -> None:
     """Register a subcommand that computes one row per input polynomial.
 
     row(f, **opts) is a module-level function (worker processes unpickle
     it) taking the command's options and returning the JSON row after its
-    name and poly keys; line(row) renders the row for humans.  check(**opts)
+    name and poly keys together with the row's human line.  check(**opts)
     rejects option combinations before any input is read.
     """
     def command(poly, poly_file, jobs, as_json, **opts):
@@ -169,12 +169,11 @@ def _per_poly(name: str, summary: str, row: Callable[..., dict],
             mode = opts.get("mode")
             head = {} if mode is None else {
                 "mode": mode.value, "rigorous": mode is BoundMode.RIGOROUS}
-            click.echo(json.dumps({**head, "results": rows},
+            click.echo(json.dumps({**head, "results": [r for r, _ in rows]},
                                   separators=(",", ":")))
             return
-        for res in rows:
-            prefix = f"{res['name']}: " if res["name"] else ""
-            click.echo(prefix + line(res))
+        for _, line in rows:
+            click.echo(line)
 
     for option in reversed((*_INPUT_OPTIONS, *options,
                             click.option("--json", "as_json", is_flag=True))):
@@ -182,82 +181,50 @@ def _per_poly(name: str, summary: str, row: Callable[..., dict],
     main.command(name, help=summary)(command)
 
 
-def _poly_str(coeffs: list[int]) -> str:
-    return format_poly(IntPoly(tuple(coeffs)))
-
-
-def _factor_row(f: IntPoly) -> dict:
+def _factor_row(f: IntPoly) -> tuple[dict, str]:
     fp = factor_over_z(f)
     return {"sign": fp.sign, "content": fp.content,
             "factors": [{"coeffs": list(g), "mult": m, "str": format_poly(g)}
-                        for g, m in fp.factors]}
+                        for g, m in fp.factors]}, str(fp)
 
 
-def _factor_line(res: dict) -> str:
-    body = " * ".join(
-        f"({f['str']})^{f['mult']}" if f["mult"] > 1 else f"({f['str']})"
-        for f in res["factors"])
-    unit = res["sign"] * res["content"]
-    return f"{unit} * {body}" if body else str(unit)
-
-
-def _evalue_row(f: IntPoly, mode: BoundMode) -> dict:
+def _evalue_row(f: IntPoly, mode: BoundMode) -> tuple[dict, str]:
     profile = hartley_profile(f, mode)
-    hs = hartley_set(profile)
-    return {"e": profile.e_gcd_literal,
-            "hartley": {"finite": hs.finite, "members": list(hs.members),
-                        "rule": hs.rule}}
+    hs, e = hartley_set(profile), profile.e_gcd_literal
+    tail = f"rule {hs.rule}" if hs.rule else f"set {hs}"
+    return {"e": e, "hartley": hs.as_json()}, f"E = {e}, {tail}"
 
 
-def _hartley_set_row(f: IntPoly, mode: BoundMode) -> dict:
-    return {"hartley": _evalue_row(f, mode)["hartley"]}
-
-
-def _hartley_set_line(res: dict) -> str:
-    return str(HartleySet(**res["hartley"]))
-
-
-def _evalue_line(res: dict) -> str:
-    rule = res["hartley"]["rule"]
-    tail = f", rule {rule}" if rule else f", set {_hartley_set_line(res)}"
-    return f"E = {res['e']}{tail}"
+def _hartley_set_row(f: IntPoly, mode: BoundMode) -> tuple[dict, str]:
+    hs = hartley_set(hartley_profile(f, mode))
+    return {"hartley": hs.as_json()}, str(hs)
 
 
 def _hartley_check_row(f: IntPoly, mode: BoundMode, order: int,
-                       knot: bool) -> dict:
+                       knot: bool) -> tuple[dict, str]:
     if knot:
         # a power of t is refused rather than stripped
         if not f or f[0] == 0:
             raise ValueError("Alexander polynomials have nonzero constant term")
         f = normalize_alexander(f)
-    out = {"n": order, "verdict": is_n_hartley(hartley_profile(f, mode), order)}
-    if out["verdict"]:
-        cert = construct_witness(f, order, mode)
-        w = cert.witness
-        out.update(witness=list(w), sign=cert.sign)
-        if knot:
-            # informational only: witnesses are far from unique
-            out.update(witness_unit_at_one=w(1) in (1, -1),
-                       witness_palindromic=w.is_palindromic_up_to_sign())
-    return out
-
-
-def _hartley_check_line(res: dict) -> str:
-    if not res["verdict"]:
-        return f"n = {res['n']}: no"
-    return (f"n = {res['n']}: yes, witness {_poly_str(res['witness'])},"
-            f" sign {res['sign']:+d}")
-
-
-def _witness_row(f: IntPoly, mode: BoundMode, order: int) -> dict:
+    if not is_n_hartley(hartley_profile(f, mode), order):
+        return {"n": order, "verdict": False}, f"n = {order}: no"
     cert = construct_witness(f, order, mode)
-    return {"n": order, "witness": list(cert.witness), "sign": cert.sign,
-            "verified": cert.verified}
+    w = cert.witness
+    out = {"n": order, "verdict": True, "witness": list(w), "sign": cert.sign}
+    if knot:
+        # informational only: witnesses are far from unique
+        out.update(witness_unit_at_one=w(1) in (1, -1),
+                   witness_palindromic=w.is_palindromic_up_to_sign())
+    return out, f"n = {order}: yes, witness {w}, sign {cert.sign:+d}"
 
 
-def _witness_line(res: dict) -> str:
-    return (f"n = {res['n']}: witness {_poly_str(res['witness'])},"
-            f" sign {res['sign']:+d}, verified {res['verified']}")
+def _witness_row(f: IntPoly, mode: BoundMode, order: int) -> tuple[dict, str]:
+    cert = construct_witness(f, order, mode)
+    return ({"n": order, "witness": list(cert.witness), "sign": cert.sign,
+             "verified": cert.verified},
+            f"n = {order}: witness {cert.witness}, sign {cert.sign:+d},"
+            f" verified {cert.verified}")
 
 
 def _murasugi_check(period: Optional[int], do_all: bool) -> None:
@@ -265,43 +232,35 @@ def _murasugi_check(period: Optional[int], do_all: bool) -> None:
         raise click.UsageError("provide exactly one of --q or --all")
 
 
-def _murasugi_row(f: IntPoly, period: Optional[int], do_all: bool) -> dict:
+def _murasugi_row(f: IntPoly, period: Optional[int],
+                  do_all: bool) -> tuple[dict, str]:
     hits = murasugi_screen_all(f) if do_all else murasugi_screen(f, period)
-    return {"hits": [{"q": h.q, "lam": h.lam, "shift": h.shift,
-                      "sign": h.sign, "quotient": list(h.quotient),
-                      "divides": h.divides} for h in hits]}
-
-
-def _murasugi_line(res: dict) -> str:
-    if not res["hits"]:
-        return "no hits (screen obstructs the period)"
-    return "; ".join(
-        f"q={h['q']} lam={h['lam']} shift={h['shift']} sign={h['sign']:+d}"
-        f" divides={h['divides']} quotient {_poly_str(h['quotient'])}"
-        for h in res["hits"])
+    line = "; ".join(f"{h} quotient {h.quotient}" for h in hits)
+    return ({"hits": [h.as_json() for h in hits]},
+            line or "no hits (screen obstructs the period)")
 
 
 _per_poly("factor", "Factor polynomials into irreducibles over the integers.",
-          _factor_row, _factor_line)
+          _factor_row)
 _per_poly("evalue",
           "Report the E invariant (0 for cyclotomic products) per polynomial.",
-          _evalue_row, _evalue_line, _MODE)
+          _evalue_row, _MODE)
 _per_poly("hartley-set",
           "Print all orders n >= 2 passing the free-period factorization test.",
-          _hartley_set_row, _hartley_set_line, _MODE)
+          _hartley_set_row, _MODE)
 _per_poly("hartley-check",
           "Decide whether each polynomial is n-Hartley, with a witness.",
-          _hartley_check_row, _hartley_check_line, _MODE,
+          _hartley_check_row, _MODE,
           click.option("--n", "order", type=click.IntRange(min=2),
                        required=True, help="period order to test"),
           click.option("--knot", is_flag=True,
                        help="enforce Alexander-polynomial preconditions first"))
 _per_poly("witness", "Construct and verify an order-n witness factorization.",
-          _witness_row, _witness_line, _MODE,
+          _witness_row, _MODE,
           click.option("--n", "order", type=click.IntRange(min=2),
                        required=True))
 _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
-          _murasugi_row, _murasugi_line,
+          _murasugi_row,
           click.option("--q", "period", type=click.IntRange(min=2),
                        default=None, help="screen one prime-power period"),
           click.option("--all", "do_all", is_flag=True,

@@ -497,6 +497,10 @@ class HartleySet:
             return body
         return f"{body} up to limit, rule: {self.rule}"
 
+    def as_json(self) -> dict:
+        return {"finite": self.finite, "members": list(self.members),
+                "rule": self.rule}
+
 
 def hartley_set(profile: HartleyProfile, limit: int = 100) -> HartleySet:
     """All n >= 2 passing the caps, exactly when finite, truncated otherwise."""

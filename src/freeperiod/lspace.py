@@ -296,14 +296,13 @@ def _ordered_map(fn: Callable[[T], R], items: Iterable[T], total: int,
             yield from part
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
-                 progress: Optional[Callable[[int, int], None]] = None) -> list[R]:
+def parallel_map(fn: Callable[[T], R], items: Sequence[T],
+                 jobs: int = 1) -> list[R]:
     """[fn(x) for x in items], computed by worker processes when jobs > 1.
 
-    The chunking, the pool, progress and errors are those of
-    _ordered_map.
+    The chunking, the pool and errors are those of _ordered_map.
     """
-    return list(_ordered_map(fn, items, len(items), jobs, progress))
+    return list(_ordered_map(fn, items, len(items), jobs, None))
 
 
 # -- report encoding -------------------------------------------------------
@@ -383,12 +382,6 @@ def _json_head(g_max: int, mode: BoundMode, top_gap_1: bool,
 
 def _record_json(r: CandidateRecord) -> str:
     """One element of the report's "records" array."""
-    if r.murasugi is None:
-        hits = None
-    else:
-        hits = [{"q": h.q, "lam": h.lam, "shift": h.shift, "sign": h.sign,
-                 "quotient": list(h.quotient), "divides": h.divides}
-                for h in r.murasugi]
     return _ENCODE({
         "genus": r.candidate.genus,
         "exponents": list(r.candidate.exponents),
@@ -397,17 +390,20 @@ def _record_json(r: CandidateRecord) -> str:
                      "cyclotomic": cyclotomic_tag(f)} for f, m in r.factors],
         "cyclotomic_product": r.cyclotomic_product,
         "e_gcd": r.e_gcd,
-        "hartley": {"finite": r.hartley.finite,
-                    "members": list(r.hartley.members),
-                    "rule": r.hartley.rule},
-        "murasugi": hits,
+        "hartley": r.hartley.as_json(),
+        "murasugi": None if r.murasugi is None else [
+            h.as_json() for h in r.murasugi],
     })
 
 
-def _record_from_json(rec: dict) -> CandidateRecord:
+def _record_from_json(rec: dict, g_max: Optional[int]) -> CandidateRecord:
     """The record that _record_json encoded as rec; ValueError unless its
-    exponents and poly are those of the candidate they name."""
+    genus lies in 1..g_max and its exponents and poly are those of the
+    candidate they name."""
     genus, exps = rec["genus"], rec["exponents"]
+    # before the candidate is built: its mask takes genus / 8 bytes
+    if not 1 <= genus <= g_max:
+        raise ValueError(f"record genus {genus} lies outside 1..{g_max}")
     cand = Candidate.from_gap_set(
         genus, (b for b in exps if genus < b < 2 * genus))
     if list(cand.exponents) != exps or format_terms(
@@ -465,7 +461,8 @@ def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
     unknown version, a head without aggregates.candidates, a report that
     ends before its closing "]}" or goes on after it, a record count other
     than aggregates.candidates, or a record that is not JSON, lacks a
-    field or whose exponents or poly do not rebuild its candidate.
+    field, has a genus outside 1..config.g_max or whose exponents or poly
+    do not rebuild its candidate.
     """
     buf = ""
     while _RECORDS_KEY not in buf:
@@ -482,10 +479,13 @@ def read_report(fp: TextIO) -> tuple[dict, Iterator[CandidateRecord]]:
         count = head["aggregates"]["candidates"]
     except (KeyError, TypeError):
         raise ValueError("report head has no aggregates.candidates") from None
-    return head, _records(fp, buf[end:], count)
+    config = head.get("config")
+    g_max = config.get("g_max") if isinstance(config, dict) else None
+    return head, _records(fp, buf[end:], count, g_max)
 
 
-def _records(fp: TextIO, buf: str, count: int) -> Iterator[CandidateRecord]:
+def _records(fp: TextIO, buf: str, count: int,
+             g_max: Optional[int]) -> Iterator[CandidateRecord]:
     """read_report's records: buf holds the text read after the head."""
     decode = json.JSONDecoder().raw_decode
     pos = n = 0
@@ -509,7 +509,7 @@ def _records(fp: TextIO, buf: str, count: int) -> Iterator[CandidateRecord]:
             if buf[pos:pos + len(sep)] != sep:
                 raise ValueError("report records are not in write_json's layout")
             try:
-                record = _record_from_json(rec)
+                record = _record_from_json(rec, g_max)
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"report record {n} is malformed: {exc!r}") from exc
             yield record
@@ -532,9 +532,7 @@ _CSV_HEADER = ("genus,exponents,poly,cyclotomic_product,e_gcd,"
 
 
 def _csv_line(r: CandidateRecord, mode: BoundMode, top_gap_1: bool) -> str:
-    hits = "" if r.murasugi is None else "; ".join(
-        f"q={h.q} lam={h.lam} shift={h.shift} sign={h.sign:+d}"
-        f" divides={h.divides}" for h in r.murasugi)
+    hits = "" if r.murasugi is None else "; ".join(map(str, r.murasugi))
     row = [str(r.candidate.genus),
            " ".join(map(str, r.candidate.exponents)),
            format_poly(r.candidate.poly),
@@ -598,7 +596,9 @@ def survey_stream(g_max: int,
 
     Candidates are enumerated and chunked lazily and a pool holds a
     bounded window of chunks, so memory does not grow with g_max as long
-    as the caller does not keep the records.  progress is as in survey().
+    as the caller does not keep the records.  progress, when given, is
+    called as progress(done, total) after each chunk of records; it has
+    no effect on the records.
     """
     # enumeration order is already (genus, exponents)
     return _ordered_map(partial(candidate_record, mode=mode),
@@ -609,14 +609,11 @@ def survey_stream(g_max: int,
 def survey(g_max: int,
            mode: BoundMode = BoundMode.HEURISTIC,
            top_gap_1: bool = False,
-           jobs: int = 1,
-           progress: Optional[Callable[[int, int], None]] = None) -> SurveyReport:
+           jobs: int = 1) -> SurveyReport:
     """Run the full pipeline; output is identical for every jobs value.
 
-    top_gap_1 keeps only the candidates whose two top exponents differ by
-    1.  progress, when given, is called as progress(done, total) after
-    each processed chunk; it has no effect on the report.
+    top_gap_1 keeps only the candidates whose two top exponents differ by 1.
     """
-    records = tuple(survey_stream(g_max, mode, top_gap_1, jobs, progress))
+    records = tuple(survey_stream(g_max, mode, top_gap_1, jobs))
     return SurveyReport(g_max=g_max, mode=mode, top_gap_1=top_gap_1,
                         custom_filter=False, records=records)

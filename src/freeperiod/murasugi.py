@@ -52,6 +52,15 @@ class MurasugiHit:
     sign: int
     divides: bool
 
+    def __str__(self) -> str:
+        return (f"q={self.q} lam={self.lam} shift={self.shift}"
+                f" sign={self.sign:+d} divides={self.divides}")
+
+    def as_json(self) -> dict:
+        return {"q": self.q, "lam": self.lam, "shift": self.shift,
+                "sign": self.sign, "quotient": list(self.quotient),
+                "divides": self.divides}
+
 
 def _require_screenable(delta: IntPoly) -> None:
     if delta[0] == 0:
@@ -164,7 +173,7 @@ def _screen_powers(delta: IntPoly, p: int, qs: tuple[int, ...],
             hit = MurasugiHit(q=q, lam=lam, quotient=IntPoly(d_bar), shift=shift,
                               sign=sign, divides=d_bar in reduced)
             if not verify_hit(delta, hit):
-                raise AssertionError(f"Murasugi hit failed re-verification: {hit}")
+                raise AssertionError(f"Murasugi hit failed re-verification: {hit!r}")
             hits.append(hit)
     return hits
 

@@ -442,3 +442,45 @@ def test_python_dash_m_entry_point_matches_across_jobs():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["aggregates"]["candidates"] == 7
+
+
+# -- pinned transcript -----------------------------------------------------
+
+_TRANSCRIPT_POLYS = [
+    ["--poly", FIG8],  # 2-Hartley, one Murasugi hit
+    ["--poly", "t^4 - t^3 + t^2 - t + 1"],  # Phi_10: E = 0, a rule
+    ["--poly", "t^6 - t^4 + t^3 - t^2 + 1"],  # no Murasugi hit at any q
+    ["--poly", K14],  # two factors, a hit with a nonconstant quotient
+]
+_TRANSCRIPT_COMMANDS = [
+    ["factor"], ["evalue"], ["evalue", "--mode", "rigorous"], ["hartley-set"],
+    ["hartley-check", "--n", "2"], ["hartley-check", "--n", "3"],
+    ["hartley-check", "--n", "2", "--knot"], ["witness", "--n", "2"],
+    ["murasugi", "--all"], ["murasugi", "--q", "2"], ["murasugi", "--q", "5"],
+]
+# factor's unit, content and multiplicities: -2 (t^2 - 3t + 1)^2, and -6
+_TRANSCRIPT_FACTOR_ONLY = [
+    ["factor", "--poly", "-2*t^4 + 12*t^3 - 22*t^2 + 12*t - 2"],
+    ["factor", "--poly", "-6"],
+]
+
+
+def test_per_polynomial_commands_keep_their_pinned_transcript(
+        runner, table, monkeypatch):
+    # every per-polynomial command, human and --json, over the table and a
+    # few single polynomials: the hash pins every printed form
+    monkeypatch.chdir(os.path.dirname(table))
+    calls = [command + source
+             for command in _TRANSCRIPT_COMMANDS
+             for source in [["--poly-file", "knots.csv"], *_TRANSCRIPT_POLYS]]
+    parts = []
+    for args in calls + _TRANSCRIPT_FACTOR_ONLY:
+        for as_json in ([], ["--json"]):
+            res = runner.invoke(main, args + as_json)
+            parts.append("\n".join([shlex.join(args + as_json),
+                                    str(res.exit_code), res.stdout, res.stderr]))
+    text = "\n\x00\n".join(parts)
+    assert "E = 2, set {2}" in text and "quotient t^2 + t + 1" in text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == ("962fd9cbf0850c9ca14a36ccb4266371"
+                      "3f9366fa29ada02a5d4a4539bf2e154f")

@@ -606,7 +606,7 @@ def test_decision_and_witness_cohere(fs, n):
 
 
 def _knot_check(delta, n):
-    return _hartley_check_row(delta, BoundMode.HEURISTIC, n, knot=True)
+    return _hartley_check_row(delta, BoundMode.HEURISTIC, n, knot=True)[0]
 
 
 def test_knot_check_fig8_passes_preconditions():
@@ -660,7 +660,7 @@ def test_knot_check_refuses_exactly_what_the_normaliser_refuses(delta, n):
     else:
         # --knot answers for the normal form, plus witness diagnostics
         row = _knot_check(delta, n)
-        plain = _hartley_check_row(want, BoundMode.HEURISTIC, n, knot=False)
+        plain = _hartley_check_row(want, BoundMode.HEURISTIC, n, knot=False)[0]
         assert {k: row[k] for k in plain} == plain
         assert row.keys() - plain.keys() == (
             {"witness_unit_at_one", "witness_palindromic"} if row["verdict"]

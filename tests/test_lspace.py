@@ -31,7 +31,7 @@ from freeperiod import (
 from freeperiod import lspace
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.lspace import (
-    _factor_candidate, parallel_map, read_report, write_csv)
+    _factor_candidate, parallel_map, read_report, survey_stream, write_csv)
 
 
 def bag(fp):
@@ -316,6 +316,22 @@ def test_survey_8_golden_hash(mode, expected):
     assert digest == expected
 
 
+@pytest.mark.parametrize("mode,expected,size", [
+    pytest.param(BoundMode.HEURISTIC,
+                 "3c777b1596fdf15ba1c664d93662dcef754dc11ea356b9fa140f058998910f02",
+                 29680, id="heuristic"),
+    pytest.param(BoundMode.RIGOROUS,
+                 "80b4aa8d04133facafd71ebd86715785bd3c0d128600f02ce3f668beeadc90dc",
+                 29425, id="rigorous"),
+])
+def test_survey_8_csv_golden_hash(mode, expected, size):
+    # the CSV report holds the Hartley set and Murasugi hit texts, which
+    # the JSON pins do not see
+    text = _csv(survey(8, mode)).encode()
+    assert len(text) == size
+    assert hashlib.sha256(text).hexdigest() == expected
+
+
 def test_survey_8_top_gap_1_golden_hash():
     # the one filtered report pinned; the survey command's --filters
     # top-gap-1 prints the same bytes (tests/test_cli.py)
@@ -362,10 +378,11 @@ def test_survey_mode_is_recorded():
 
 def test_progress_callback_sees_monotone_completion():
     seen = []
-    rep = survey(4, progress=lambda done, total: seen.append((done, total)))
+    records = list(survey_stream(
+        4, progress=lambda done, total: seen.append((done, total))))
     assert seen and seen[-1] == (15, 15)
     assert [d for d, _ in seen] == sorted(d for d, _ in seen)
-    assert len(rep.records) == 15
+    assert tuple(records) == survey(4).records
 
 
 def test_enumerate_rejects_nonpositive_genus():
@@ -562,7 +579,7 @@ def test_read_report_checks_a_huge_genus_record_without_its_polynomial():
     # the poly string is checked against the record's own exponents, so a
     # genus-10^7 record builds no polynomial of degree 2*10^7
     g = 10**7
-    text = survey(1).to_json().replace(
+    text = survey(1).to_json().replace('"g_max":1,', f'"g_max":{g},').replace(
         '"genus":1,"exponents":[2,1,0],"poly":"t^2 - t + 1"',
         f'"genus":{g},"exponents":[{2 * g},{g},0],"poly":"t^{2 * g} - t^{g} + 1"')
     start = time.monotonic()
@@ -572,6 +589,23 @@ def test_read_report_checks_a_huge_genus_record_without_its_polynomial():
     assert "poly" not in vars(record.candidate)
     with pytest.raises(ValueError, match="does not rebuild its candidate"):
         _drain(text.replace(" + 1", " + 2"))
+
+
+def test_read_report_refuses_a_record_outside_the_genus_range_at_once():
+    # a genus-10^8 record in survey(1)'s report: its candidate's mask alone
+    # would take 12 MB, and checking its exponents far more
+    g = 10**8
+    text = survey(1).to_json().replace(
+        '"genus":1,"exponents":[2,1,0],"poly":"t^2 - t + 1"',
+        f'"genus":{g},"exponents":[{2 * g},{2 * g - 1},{g},1,0],'
+        f'"poly":"t^{2 * g} - t^{2 * g - 1} + t^{g} - t + 1"')
+    head, records = read_report(io.StringIO(text))
+    seen = []
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=r"outside 1\.\.1"):
+        seen.extend(records)
+    assert time.monotonic() - start < 0.5
+    assert seen == []
 
 
 @pytest.mark.parametrize("old, new", [

@@ -8,6 +8,11 @@ is v_p(E_i) for a non-cyclotomic factor with power invariant E_i, no cap
 itself is computed by the power test: alpha is an m-th power in Q(alpha)
 exactly when f(t^m) has an irreducible integer factor of degree deg f.
 
+The power-residue screen rules levels out first: at a prime q = 1 mod m
+with primitive root g, a simple root x = g^k of f mod q is an m-th
+residue iff m | k, and a non-residue proves alpha is no m-th power.  f
+is evaluated at cached points ordered by k, each q's roots found once.
+
 The power test answers positives with a root (nfroot.power_root): an h
 with h^m = x modulo f, found by q-adic lifting and verified exactly, is
 the certificate that alpha = h(alpha)^m.  power_index tries it on every
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, compress
 from typing import Optional
 
 import numpy as np
@@ -41,13 +47,7 @@ from .cyclotomic import (
 from .intpoly import (
     IntPoly, content_primitive, elementary_symmetric, power_sums_monic, trace_reduce)
 from .mahler import BoundMode, prime_bound
-from .modpoly import (
-    gfp_deriv,
-    gfp_eval,
-    is_prime,
-    next_prime,
-    reduce_mod_p,
-)
+from .modpoly import gfp_eval, is_prime
 from .nfroot import minimal_polynomial, power_root, roots_of_unity_are_signs
 from .zfactor import _FACTOR_CACHE_SIZE, degree_set_filter, factor_over_z
 
@@ -102,10 +102,37 @@ def rational_power_index(numerator: int, denominator: int) -> EValue:
 # -- power-residue screen --------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _sieve(bits: int) -> bytes:
+    """Primality flags of 0 .. 2^bits - 1 (Eratosthenes); the one prime
+    source of the residue screen and of e_of_irreducible's prime list."""
+    flags = bytearray([1]) * (1 << bits)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(flags) - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, len(flags), p)))
+    return bytes(flags)
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, ascending, from one sieve of at least 2^16."""
+    return list(compress(range(n + 1), _sieve(max(n.bit_length(), 16))))
+
+
 @lru_cache(maxsize=None)
 def _aux_primes(pr: int) -> tuple[int, ...]:
-    """Primes q = 1 mod pr below the residue screen's search limit, ascending."""
-    return tuple(q for q in range(pr + 1, 200 * pr + 2000, pr) if is_prime(q))
+    """Primes q = 1 mod pr below the residue screen's search limit, ascending:
+    the progression q = 1 + j pr sieved by the primes up to its square root."""
+    top = 200 * pr + 2000
+    flags = bytearray([1]) * ((top - 2) // pr + 1)  # flags[j] for q = 1 + j pr < top
+    flags[0] = 0
+    for ell in _primes_upto(math.isqrt(top)):
+        if pr % ell:
+            j = -pow(pr, -1, ell) % ell  # the least j with ell | 1 + j pr
+            if 1 + j * pr == ell:
+                j += ell  # ell itself is prime
+            flags[j::ell] = bytes(len(range(j, len(flags), ell)))
+    return tuple(1 + j * pr for j in compress(range(len(flags)), flags))
 
 
 def _screen_tries(pr: int) -> int:
@@ -114,43 +141,30 @@ def _screen_tries(pr: int) -> int:
     return 8 if pr == 2 else 4
 
 
-def _lucas_v(y: int, n: int, q: int) -> int:
-    """V_n(y) mod q for V_0 = 2, V_1 = y, V_k = y V_(k-1) - V_(k-2), the
-    recurrence of intpoly.trace_reduce: V_n(x + 1/x) = x^n + x^-n.  Binary
-    ladder on (V_k, V_(k+1)) with V_2k = V_k^2 - 2 and
-    V_(2k+1) = V_k V_(k+1) - y."""
-    v, w = 2, y % q
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            v, w = (v * w - y) % q, (w * w - 2) % q
-        else:
-            v, w = (v * v - 2) % q, (v * w - y) % q
-    return v
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _points(q: int, trace: bool) -> np.ndarray:
+    """The residue screen's points mod an odd prime q, by the exponent k of
+    the least primitive root g: x_k = g^k for k = 0 .. q - 2, or for trace
+    y_k = g^k + g^-k for k = 1 .. (q - 3)/2 (at index k - 1), the y with
+    roots x, 1/x of t^2 - y t + 1 in F_q* minus +-1, each y once.  Stored
+    in the least unsigned dtype that holds q, to keep the cache small."""
+    g = next(g for g in range(2, q)
+             if all(pow(g, (q - 1) // ell, q) != 1 for ell in factorint(q - 1)))
+    x = np.ones(q - 1, dtype=np.int64)
+    n = 1
+    while n < q - 1:  # x[n:2n] = g^n x[:n]
+        m = min(n, q - 1 - n)
+        x[n:n + m] = x[:m] * pow(g, n, q) % q
+        n += m
+    if trace:
+        x = (x[1:(q - 1) // 2] + x[q - 2:(q - 1) // 2:-1]) % q
+    return x.astype(np.min_scalar_type(q))
 
 
-def _residue_verdict(roots: list[int], gbar: list[int], q: int, pr: int,
-                     trace: bool) -> Optional[bool]:
-    """What the roots mod q of the screened polynomial gbar say about p^r:
-    False if a simple root proves the root of f is not a p^r-th power,
-    True if some simple root is a residue and none rejects, None if q
-    has no usable root."""
-    deriv = gfp_deriv(gbar, q)
-    e = (q - 1) // pr
-    verdict = None
-    for z in roots:  # a root x of f, or y = x + 1/x of h
-        if trace and pow(z * z - 4, (q - 1) // 2, q) != 1:
-            continue
-        if gfp_eval(deriv, z, q) == 0:
-            continue
-        if (_lucas_v(z, e, q) != 2) if trace else (pow(z, e, q) != 1):
-            return False
-        verdict = True
-    return verdict
-
-
-# residues one walk may evaluate per round: several of the small q of
-# p^r = 2, 3, 4, ... fit at once, and a walk always takes at least one q
+# residues one walk may take in its first round; each round doubles it, up
+# to ROUND_RESIDUES_MAX, and a walk always takes at least one q
 ROUND_RESIDUES = 128
+ROUND_RESIDUES_MAX = 2048
 
 
 def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
@@ -161,10 +175,10 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     nonzero (q does not divide f(0)) and Hensel-lifts to a root in Z_q,
     embedding Q(alpha) into Q_q with alpha a unit.  A global p^r-th power
     alpha = beta^(p^r) forces beta into Z_q* as well, so x must be a
-    p^r-th residue; with q = 1 mod p^r that is one exponentiation:
-    x^((q-1)/p^r) != 1 is a sound rejection.  Passes prove nothing (the
-    caller still certifies positives), and primes where f has no simple
-    root are skipped without counting.
+    p^r-th residue: with q = 1 mod p^r and g a primitive root of q,
+    x = g^k is a p^r-th residue iff p^r | k.  So f is evaluated at the
+    points of _points(q), ordered by k.  Passes prove nothing (the caller
+    still certifies positives); q where f has no simple root do not count.
 
     Each p^r walks its own _aux_primes(p^r) in ascending order and stops
     once its passes reach its tries.  A q counts one pass when it gives a
@@ -173,85 +187,90 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     counting roots would spend the tries on half as many primes.
 
     A palindromic f of degree 2m is screened through its trace polynomial
-    h (f = t^m h(t + 1/t), degree m), with the same verdicts: a root y of
-    h mod q gives the roots x, 1/x of f mod q exactly when y^2 - 4 is a
-    nonzero square, they are simple exactly when y is a simple root of h
-    (y = +-2 would give the double root x = +-1), and x^e = 1 exactly when
-    the Lucas value V_e(y) = x^e + x^-e is 2.  Any other f is screened
-    directly.
+    h (f = t^m h(t + 1/t), degree m) at y_k = g^k + g^-k: a simple root
+    y_k of h mod q gives the simple roots g^k, g^-k of f, and the points
+    leave out y = +-2 (the double root x = +-1) and every y whose x lie
+    outside F_q.  Any other f is screened directly at x_k = g^k.
 
     The walks advance in rounds.  In each round every live walk takes its
-    next auxiliary primes, skipping q | f(0), while their residues fit in
-    ROUND_RESIDUES (always at least one q), and one numpy Horner pass
-    evaluates the screened polynomial at every residue of every q taken,
-    over the concatenated ranges with a per-element modulus.  The pass
-    reduces mod q only every s steps: from a reduced value, s unreduced
-    steps stay below q^(s+1), so s is the largest with q_max^(s+1) < 2^62
-    for the round's largest q (s = 1 when q_max^3 >= 2^62).  Each walk
-    then replays its q in ascending order under the per-prime rules: a
-    rejection ends the walk, a q with a residue root counts one pass, and
-    reaching its tries ends the walk and drops the rest of its round, so
-    every verdict equals walking the primes one at a time.  Coefficients
-    are reduced mod q as Python ints first, since f may exceed int64.
+    next auxiliary primes, skipping q | f(0), while the residues of the q
+    not yet evaluated fit its budget (at least one q), and one numpy
+    Horner pass evaluates every new q at its points with a per-element
+    modulus; each q's simple roots then serve every walk for the rest of
+    the call.  The pass reduces mod q only every s steps: from a reduced
+    value, s unreduced steps stay below q^(s+1), so s is the largest with
+    q_max^(s+1) < 2^62 (at least 1).  Each walk then replays its q in
+    ascending order: a rejection ends the walk, a q with a residue root
+    counts one pass, and reaching its tries ends the walk and drops the
+    rest of its round, so every verdict equals walking the primes one at
+    a time.  Coefficients are reduced mod q as Python ints first, since f
+    may exceed int64.
     """
     h = trace_reduce(f)
-    coeffs = f.coeffs if h is None else h.coeffs
+    trace = h is not None
+    coeffs = h.coeffs if trace else f.coeffs
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
     f0 = f.coeffs[0]
-    walks = {pr: [0, 0] for pr, tries in levels.items() if tries > 0}  # [next q index, passes]
+    # [next q index, passes, budget]
+    walks = {pr: [0, 0, ROUND_RESIDUES] for pr, tries in levels.items() if tries > 0}
+    roots: dict[int, list[int]] = {}  # q -> exponents k of its simple roots
     rejected: set[int] = set()
     while walks:
-        batch: list[tuple[int, int, list[int]]] = []  # (p^r, q, coeffs mod q)
+        taken: dict[int, list[int]] = {}  # p^r -> its q of this round
+        fresh: list[int] = []  # the q this round evaluates
         for pr, walk in list(walks.items()):
-            aux, i, room = _aux_primes(pr), walk[0], ROUND_RESIDUES
-            first = len(batch)
-            while i < len(aux) and (len(batch) == first or aux[i] <= room):
+            aux, i, room = _aux_primes(pr), walk[0], walk[2]
+            qs: list[int] = []
+            while i < len(aux):
                 q = aux[i]
+                size = 0 if q in roots else (q - 3) // 2 if trace else q - 1
+                if qs and size > room:
+                    break
                 i += 1
                 if f0 % q:
-                    batch.append((pr, q, reduce_mod_p(coeffs, q)))
-                    room -= q
-            walk[0] = i
-            if len(batch) == first:
+                    qs.append(q)
+                    room -= size
+                    if q not in roots:
+                        roots[q] = []
+                        fresh.append(q)
+            if qs:
+                taken[pr] = qs
+                walk[0], walk[2] = i, min(2 * walk[2], ROUND_RESIDUES_MAX)
+            else:
                 del walks[pr]
-        if not batch:
-            break
-        sizes = np.array([q for _, q, _ in batch], dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(len(batch)), sizes)
-        mods = sizes[owner]
-        xs = np.arange(int(sizes.sum()), dtype=np.int64) - starts[owner]
-        q_max = int(sizes.max())
-        s = 1
-        while q_max ** (s + 2) < 2**62:
-            s += 1
-        # row k holds coefficient k of every entry's polynomial mod q; each
-        # Horner step gathers one row out to the elements
-        table = np.zeros((len(coeffs), len(batch)), dtype=np.int64)
-        for w, (_, _, gbar) in enumerate(batch):
-            table[: len(gbar), w] = gbar
-        vals = np.zeros_like(xs)
-        for step, row in enumerate(table[::-1], 1):
-            vals *= xs
-            vals += row[owner]
-            if step % s == 0 or step == len(table):
-                np.remainder(vals, mods, out=vals)
-        zeros = np.flatnonzero(vals == 0)
-        starts = starts.tolist()
-        roots: dict[int, list[int]] = {}  # entries ascend, so each walk's q do too
-        for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
-            roots.setdefault(w, []).append(i - starts[w])
-        for w, zs in roots.items():
-            pr, q, gbar = batch[w]
-            if pr not in walks:
-                continue  # the walk ended earlier in this round
-            verdict = _residue_verdict(zs, gbar, q, pr, h is not None)
-            if verdict is False:
-                rejected.add(pr)
-                del walks[pr]
-            elif verdict:
-                walks[pr][1] += 1
-                if walks[pr][1] >= levels[pr]:
+        if fresh:
+            pts = [_points(q, trace) for q in fresh]
+            sizes = [len(x) for x in pts]
+            owner = np.repeat(np.arange(len(fresh)), sizes)
+            xs = np.concatenate(pts).astype(np.int64)
+            mods = np.array(fresh, dtype=np.int64)[owner]
+            s = 1
+            while max(fresh) ** (s + 2) < 2**62:
+                s += 1
+            # row k holds coefficient k mod each q; each Horner step gathers
+            # one row out to the points
+            table = np.array([[c % q for q in fresh] for c in coeffs], dtype=np.int64)
+            vals = table[-1][owner]
+            for step, row in enumerate(table[-2::-1], 1):
+                vals *= xs
+                vals += row[owner]
+                if step % s == 0 or step == len(table) - 1:
+                    np.remainder(vals, mods, out=vals)
+            zeros = np.flatnonzero(vals == 0)
+            starts = list(accumulate(sizes, initial=0))
+            for i, w in zip(zeros.tolist(), owner[zeros].tolist()):
+                q, k = fresh[w], i - starts[w]
+                if gfp_eval(deriv, int(pts[w][k]), q):
+                    roots[q].append(k + 1 if trace else k)
+        for pr, qs in taken.items():
+            walk = walks[pr]
+            for q in qs:
+                if any(k % pr for k in roots[q]):
+                    rejected.add(pr)
+                walk[1] += bool(roots[q])
+                if pr in rejected or walk[1] >= levels[pr]:
                     del walks[pr]
+                    break
     return rejected
 
 
@@ -348,11 +367,7 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
         # the root -f0/f1, passed with a positive denominator
         return rational_power_index(-f[0] if f[1] > 0 else f[0], abs(f[1]))
     bound = prime_bound(f, mode)
-    primes = []
-    p = 2
-    while p <= bound:
-        primes.append(p)
-        p = next_prime(p)
+    primes = _primes_upto(bound)
     rejected = _power_residue_rejects(f, {p: _screen_tries(p) for p in primes})
     e = 1
     for p in primes:

@@ -31,7 +31,8 @@ from freeperiod import hartley
 from freeperiod.cli import _hartley_check_row
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import (
-    _aux_primes, _cyclotomic_rotation_product, _power_residue_rejects)
+    _aux_primes, _cyclotomic_rotation_product, _points, _power_residue_rejects,
+    _primes_upto)
 from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
@@ -207,6 +208,13 @@ BIG_LEVEL = 1350053
 # reject 2, which no degree-1 root rejects
 @example(parse_poly("4t^8 + 3t^7 + 2t^6 - t^5 - 3t^4 - t^3 + 2t^2 + 3t + 4"),
          SCREEN_LEVELS[1])
+# q = 23 and 29 lie in the first rounds of the walks of 2, 11 and 7, which
+# share their root sets; 2 ends by its tries at q = 19 before reading them,
+# and 29 still rejects 7
+@example(FIG8, SCREEN_LEVELS[1])
+# 2 passes 5 of its 8 tries in its first round, and in its second, at twice
+# the budget, passes the last at q = 71 with q = 73 .. 157 of that round left
+@example(FIG8, SCREEN_LEVELS[0])
 def test_batched_residue_screen_matches_per_prime_loop(f, levels):
     assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
 
@@ -231,6 +239,33 @@ def test_residue_screen_reduces_wide_coefficients_first():
         assert max(abs(c) for c in f.coeffs) > 2**63
         for levels in SCREEN_LEVELS:
             assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([q for q in range(3, 2000) if is_prime(q)]))
+@example(3)
+@example(100003)
+def test_screen_points_are_powers_of_a_primitive_root(q):
+    xs = _points(q, False).tolist()
+    g = xs[1]
+    assert xs == [pow(g, k, q) for k in range(q - 1)]
+    assert sorted(xs) == list(range(1, q))
+    ys = _points(q, True).tolist()
+    assert ys == [(pow(g, k, q) + pow(g, -k, q)) % q for k in range(1, (q - 1) // 2)]
+    assert sorted(ys) == [y for y in range(q) if pow(y * y - 4, (q - 1) // 2, q) == 1]
+    if q == 3:
+        assert ys == []
+
+
+@pytest.mark.parametrize("pr", [2, 3, 4, 5, 8, 9, 25, 59, 64, 97, BIG_LEVEL])
+def test_aux_primes_are_the_primes_of_the_progression(pr):
+    assert _aux_primes(pr) == tuple(
+        q for q in range(pr + 1, 200 * pr + 2000, pr) if is_prime(q))
+
+
+def test_primes_upto_matches_is_prime():
+    assert [_primes_upto(n) for n in range(4)] == [[], [], [2], [2, 3]]
+    assert _primes_upto(70000) == [p for p in range(70001) if is_prime(p)]
 
 
 def test_residue_screen_vectors():

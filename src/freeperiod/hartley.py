@@ -47,7 +47,7 @@ from .cyclotomic import (
 from .intpoly import (
     IntPoly, content_primitive, elementary_symmetric, power_sums_monic, trace_reduce)
 from .mahler import BoundMode, prime_bound
-from .modpoly import gfp_eval, is_prime
+from .modpoly import gfp_eval, is_prime, primes_upto
 from .nfroot import minimal_polynomial, power_root, roots_of_unity_are_signs
 from .zfactor import _FACTOR_CACHE_SIZE, degree_set_filter, factor_over_z
 
@@ -102,23 +102,6 @@ def rational_power_index(numerator: int, denominator: int) -> EValue:
 # -- power-residue screen --------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _sieve(bits: int) -> bytes:
-    """Primality flags of 0 .. 2^bits - 1 (Eratosthenes); the one prime
-    source of the residue screen and of e_of_irreducible's prime list."""
-    flags = bytearray([1]) * (1 << bits)
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(len(flags) - 1) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, len(flags), p)))
-    return bytes(flags)
-
-
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, ascending, from one sieve of at least 2^16."""
-    return list(compress(range(n + 1), _sieve(max(n.bit_length(), 16))))
-
-
 @lru_cache(maxsize=None)
 def _aux_primes(pr: int) -> tuple[int, ...]:
     """Primes q = 1 mod pr below the residue screen's search limit, ascending:
@@ -126,7 +109,7 @@ def _aux_primes(pr: int) -> tuple[int, ...]:
     top = 200 * pr + 2000
     flags = bytearray([1]) * ((top - 2) // pr + 1)  # flags[j] for q = 1 + j pr < top
     flags[0] = 0
-    for ell in _primes_upto(math.isqrt(top)):
+    for ell in primes_upto(math.isqrt(top)):
         if pr % ell:
             j = -pow(pr, -1, ell) % ell  # the least j with ell | 1 + j pr
             if 1 + j * pr == ell:
@@ -336,7 +319,7 @@ def power_index(f: IntPoly, p: int, max_r: Optional[int] = None, *,
         if rn > _screened and _power_residue_rejects(f, {pr: _screen_tries(pr)}):
             break
         if power_root(f, pr) is None and (
-                not degree_set_filter(f.inflate(pr), d, trials=2)
+                not degree_set_filter(f.inflate(pr), d)
                 or _inflation_factor(f, pr) is None):
             break
         r = rn
@@ -367,7 +350,7 @@ def e_of_irreducible(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> EValu
         # the root -f0/f1, passed with a positive denominator
         return rational_power_index(-f[0] if f[1] > 0 else f[0], abs(f[1]))
     bound = prime_bound(f, mode)
-    primes = _primes_upto(bound)
+    primes = primes_upto(bound)
     rejected = _power_residue_rejects(f, {p: _screen_tries(p) for p in primes})
     e = 1
     for p in primes:

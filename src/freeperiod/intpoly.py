@@ -7,7 +7,7 @@ vector and has degree NEG_INF so that degree comparisons stay total.
 
 Text format, both directions: symbolic "c_k*t^k + ... + c_0" with the "*"
 optional ("3t^2" parses), or a comma separated ascending coefficient list.
-Whitespace is ignored.
+Whitespace is ignored, except between two digits, where it is an error.
 """
 
 from __future__ import annotations
@@ -471,6 +471,8 @@ def parse_poly(text: str) -> IntPoly:
     >>> parse_poly("1, -3, 1")
     IntPoly((1, -3, 1))
     """
+    if re.search(r"\d\s+\d", text):
+        raise ValueError(f"whitespace inside a number in {text!r}")
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty polynomial text")

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Typ
 from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly, format_terms
-from .modpoly import gfp_eval, is_prime
+from .modpoly import gfp_eval, primes
 from .murasugi import MurasugiHit, murasugi_screen_all
 from .zfactor import FactoredPoly, factor_over_z
 
@@ -122,9 +122,7 @@ def _cyclo_trial(m: int) -> tuple[IntPoly, int, int]:
     Horner step val * z + c mod q stays within one 30-bit int digit, and
     a Phi_m that does not divide rem passes the screen about once in q."""
     phim = cyclotomic(m)
-    q = (2**14 // m + 1) * m + 1
-    while not is_prime(q):
-        q += m
+    q = next(q for q in primes(2**14) if q % m == 1)
     # the x^((q-1)/m) are the m-th roots of unity mod q, and q = 1 mod m
     # makes some of them primitive
     z = next(z for z in (pow(x, (q - 1) // m, q) for x in range(2, q))

@@ -1,4 +1,6 @@
-"""Polynomial arithmetic over Z/m and factorization over prime fields F_p.
+"""Polynomial arithmetic over Z/m and factorization over prime fields F_p,
+and the package's one prime source: is_prime for single tests, and
+primes_upto and primes, read off one cached sieve, for every prime walk.
 
 Coefficient vectors are plain Python lists of residues in [0, m), ascending,
 trimmed.  That is the contract of every kernel here, and the packed
@@ -32,8 +34,11 @@ as a sieve only.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from functools import lru_cache
+from itertools import compress
+from typing import Iterator
 
 # -- primality -------------------------------------------------------------
 
@@ -66,16 +71,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_prime(k):
+@lru_cache(maxsize=1)
+def _sieve(bits: int) -> bytes:
+    """Primality flags of 0 .. 2^bits - 1 (Eratosthenes)."""
+    flags = bytearray([1]) * (1 << bits)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(flags) - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, len(flags), p)))
+    return bytes(flags)
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, ascending, from one sieve of at least 2^16."""
+    return list(compress(range(n + 1), _sieve(max(n.bit_length(), 16))))
+
+
+def primes(start: int = 2) -> Iterator[int]:
+    """The primes p >= start, ascending, without end: the 2^16 sieve's,
+    read in place, then is_prime's on the odd numbers past it."""
+    flags = memoryview(_sieve(16))
+    start = max(start, 0)
+    yield from compress(range(start, len(flags)), flags[start:])
+    k = max(start, len(flags)) | 1
+    while True:
+        if is_prime(k):
+            yield k
         k += 2
-    return k
 
 
 # -- kernel helpers --------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .cyclotomic import divisors, prime_power
 from .intpoly import IntPoly
-from .modpoly import gfp_mul, is_prime, reduce_mod_p
+from .modpoly import gfp_mul, primes_upto, reduce_mod_p
 from .zfactor import FactoredPoly, factor_over_z
 
 
@@ -195,7 +195,7 @@ def murasugi_screen(delta: IntPoly, q: int) -> list[MurasugiHit]:
 @lru_cache(maxsize=None)
 def _prime_powers_upto(top: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((p, tuple(p**r for r in range(1, top.bit_length()) if p**r <= top))
-                 for p in range(2, top + 1) if is_prime(p))
+                 for p in primes_upto(top))
 
 
 def murasugi_screen_all(delta: IntPoly,

@@ -77,7 +77,7 @@ from .modpoly import (
     gfp_mul,
     gfp_sub,
     has_nonsquare_factor,
-    next_prime,
+    primes,
     reduce_mod_p,
 )
 
@@ -139,15 +139,9 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     if pf.is_constant() or pg.is_constant():
         return IntPoly.constant(c)
     # modular certificate: deg gcd_Z <= deg gcd_p at primes not dividing lcs
-    tried = 0
-    p = 3
-    while tried < 4:
-        if pf.lc % p and pg.lc % p:
-            d = len(gfp_gcd(reduce_mod_p(pf.coeffs, p), reduce_mod_p(pg.coeffs, p), p)) - 1
-            if d == 0:
-                return IntPoly.constant(c)
-            tried += 1
-        p = next_prime(p)
+    for p in itertools.islice((p for p in primes(3) if pf.lc % p and pg.lc % p), 4):
+        if len(gfp_gcd(reduce_mod_p(pf.coeffs, p), reduce_mod_p(pg.coeffs, p), p)) == 1:
+            return IntPoly.constant(c)
     # primitive PRS
     a, b = (pf, pg) if pf.degree >= pg.degree else (pg, pf)
     while True:
@@ -256,13 +250,11 @@ def good_primes(f: IntPoly) -> Iterator[int]:
     The walk never ends: for f with a repeated factor, which no prime
     keeps squarefree, it yields nothing and runs on.
     """
-    p = 3
-    while True:
+    for p in primes(3):
         if f.lc % p:
             fb = reduce_mod_p(f.coeffs, p)
             if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
                 yield p
-        p = next_prime(p)
 
 
 def _subset_degrees(degs: list[int]) -> int:
@@ -273,11 +265,11 @@ def _subset_degrees(degs: list[int]) -> int:
     return reach
 
 
-def degree_set_filter(f: IntPoly, target_degree: int, trials: int = 3) -> bool:
+def degree_set_filter(f: IntPoly, target_degree: int) -> bool:
     """False only when provably no integer factor of target_degree exists.
 
     Checks whether target_degree is a subset sum of the mod-p irreducible
-    factor degrees at each of `trials` good primes; sound because integer
+    factor degrees at each of two good primes; sound because integer
     factors stay factors mod p.
     """
     if target_degree < 0 or target_degree > f.degree:
@@ -286,19 +278,16 @@ def degree_set_filter(f: IntPoly, target_degree: int, trials: int = 3) -> bool:
         return True
     # Repeated factors kill squarefreeness at every prime; cap the scan so
     # such inputs fall through to True rather than looping.
-    p = 3
     found = 0
-    for _ in range(max(24, 8 * trials)):
-        if found >= trials:
-            break
+    for p in itertools.islice(primes(3), 24):
         if f.lc % p:
             fb = reduce_mod_p(f.coeffs, p)
             if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
-                found += 1
-                degs = ddf_degree_multiset(fb, p)
-                if not (_subset_degrees(degs) >> target_degree) & 1:
+                if not (_subset_degrees(ddf_degree_multiset(fb, p)) >> target_degree) & 1:
                     return False
-        p = next_prime(p)
+                found += 1
+                if found == 2:
+                    break
     return True
 
 

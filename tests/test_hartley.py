@@ -31,8 +31,7 @@ from freeperiod import hartley
 from freeperiod.cli import _hartley_check_row
 from freeperiod.cyclotomic import cyclotomic
 from freeperiod.hartley import (
-    _aux_primes, _cyclotomic_rotation_product, _points, _power_residue_rejects,
-    _primes_upto)
+    _aux_primes, _cyclotomic_rotation_product, _points, _power_residue_rejects)
 from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
 from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
@@ -261,11 +260,6 @@ def test_screen_points_are_powers_of_a_primitive_root(q):
 def test_aux_primes_are_the_primes_of_the_progression(pr):
     assert _aux_primes(pr) == tuple(
         q for q in range(pr + 1, 200 * pr + 2000, pr) if is_prime(q))
-
-
-def test_primes_upto_matches_is_prime():
-    assert [_primes_upto(n) for n in range(4)] == [[], [], [2], [2, 3]]
-    assert _primes_upto(70000) == [p for p in range(70001) if is_prime(p)]
 
 
 def test_residue_screen_vectors():

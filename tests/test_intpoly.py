@@ -146,14 +146,18 @@ def test_parse_symbolic_forms():
     assert parse_poly("-t + 2") == IntPoly((2, -1))
     assert parse_poly("7") == IntPoly((7,))
     assert parse_poly("t") == IntPoly.x()
+    assert parse_poly("t ^ 2 - 3 t + 1") == IntPoly((1, -3, 1))
+    assert parse_poly("3 t") == IntPoly((0, 3))
 
 
 def test_parse_coefficient_list_is_ascending():
     assert parse_poly("1, -3, 1") == IntPoly((1, -3, 1))
     assert parse_poly("2,-1") == IntPoly((2, -1))
+    assert parse_poly(" 1, -3, 1 ") == IntPoly((1, -3, 1))
 
 
-@pytest.mark.parametrize("bad", ["", "t^-2", "t^2-", "1,x,3", "t^2 ** 2", "tt"])
+@pytest.mark.parametrize("bad", ["", "t^-2", "t^2-", "1,x,3", "t^2 ** 2", "tt",
+                                 "t^2 3", "1 -3 1", "1 0, 2", "1 2t"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)

@@ -1,6 +1,7 @@
 """Arithmetic over Z/m and factorization over prime fields."""
 
 import math
+from itertools import count, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,9 +25,12 @@ from freeperiod.modpoly import (
     gf2_degree_pattern,
     has_nonsquare_factor,
     is_prime,
-    next_prime,
+    primes,
+    primes_upto,
     reduce_mod_p,
 )
+from freeperiod.intpoly import IntPoly
+from freeperiod.zfactor import good_primes
 
 PRIMES = [2, 3, 5, 7, 13]
 # the equal-degree split (factor_squarefree_mod_p) needs an odd prime
@@ -71,12 +75,22 @@ def test_is_prime_pseudoprime_traps():
     assert not is_prime((10**9 + 7) * (10**9 + 9))
 
 
-def test_next_prime_steps():
-    assert next_prime(2) == 3
-    assert next_prime(3) == 5
-    assert next_prime(13) == 17
-    assert next_prime(1) == 2
-    assert next_prime(89) == 97
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 65520])
+def test_primes_from_start_match_is_prime(start):
+    # from 65520 the walk leaves the 2^16 table after two primes
+    expected = (n for n in count(start) if is_prime(n))
+    assert list(islice(primes(start), 200)) == list(islice(expected, 200))
+
+
+def test_primes_upto_matches_is_prime():
+    assert [primes_upto(n) for n in range(4)] == [[], [], [2], [2, 3]]
+    assert primes_upto(70000) == [p for p in range(70001) if is_prime(p)]
+
+
+def test_good_primes_walk_past_the_table():
+    # every odd prime below 2^16 divides the leading coefficient
+    lc = math.prod(primes_upto(2**16)[1:])
+    assert next(good_primes(IntPoly((1, lc)))) == 65537
 
 
 @given(mod_coeffs, mod_coeffs, st.sampled_from(PRIMES))

@@ -34,6 +34,14 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def primitive_root(q: int) -> int:
+    """The least generator of F_q^* for an odd prime q: the least g >= 2
+    with g^((q - 1)/ell) != 1 mod q for every prime ell dividing q - 1."""
+    ells = list(factorint(q - 1))
+    return next(g for g in range(2, q) if all(pow(g, (q - 1) // ell, q) != 1 for ell in ells))
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     ds = [1]

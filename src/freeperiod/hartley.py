@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .cyclotomic import (
-    cyclotomic, cyclotomic_tag, divisors, euler_phi, factorint, iroot, v_p)
+    cyclotomic, cyclotomic_tag, divisors, euler_phi, factorint, iroot, primitive_root, v_p)
 from .intpoly import (
     IntPoly, content_primitive, elementary_symmetric, power_sums_monic, trace_reduce)
 from .mahler import BoundMode, prime_bound
@@ -131,8 +131,7 @@ def _points(q: int, trace: bool) -> np.ndarray:
     y_k = g^k + g^-k for k = 1 .. (q - 3)/2 (at index k - 1), the y with
     roots x, 1/x of t^2 - y t + 1 in F_q* minus +-1, each y once.  Stored
     in the least unsigned dtype that holds q, to keep the cache small."""
-    g = next(g for g in range(2, q)
-             if all(pow(g, (q - 1) // ell, q) != 1 for ell in factorint(q - 1)))
+    g = primitive_root(q)
     x = np.ones(q - 1, dtype=np.int64)
     n = 1
     while n < q - 1:  # x[n:2n] = g^n x[:n]
@@ -148,6 +147,9 @@ def _points(q: int, trace: bool) -> np.ndarray:
 # to ROUND_RESIDUES_MAX, and a walk always takes at least one q
 ROUND_RESIDUES = 128
 ROUND_RESIDUES_MAX = 2048
+# fresh residues one round may evaluate past its first fresh q, across all
+# walks; _points caches only tables of at most twice this many
+ROUND_FRESH_RESIDUES = 1 << 16
 
 
 def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
@@ -177,11 +179,13 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
 
     The walks advance in rounds.  In each round every live walk takes its
     next auxiliary primes, skipping q | f(0), while the residues of the q
-    not yet evaluated fit its budget (at least one q), and one numpy
-    Horner pass evaluates every new q at its points with a per-element
-    modulus; each q's simple roots then serve every walk for the rest of
-    the call.  The pass reduces mod q only every s steps: from a reduced
-    value, s unreduced steps stay below q^(s+1), so s is the largest with
+    not yet evaluated fit its budget (at least one q) and the round's
+    ROUND_FRESH_RESIDUES; a walk the round's total stops stays live, and
+    only its exhausted prime list ends it.  One numpy Horner pass
+    evaluates every new q at its points with a per-element modulus; each
+    q's simple roots then serve every walk for the rest of the call.  The
+    pass reduces mod q only every s steps: from a reduced value, s
+    unreduced steps stay below q^(s+1), so s is the largest with
     q_max^(s+1) < 2^62 (at least 1).  Each walk then replays its q in
     ascending order: a rejection ends the walk, a q with a residue root
     counts one pass, and reaching its tries ends the walk and drops the
@@ -201,13 +205,14 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
     while walks:
         taken: dict[int, list[int]] = {}  # p^r -> its q of this round
         fresh: list[int] = []  # the q this round evaluates
+        spare = ROUND_FRESH_RESIDUES
         for pr, walk in list(walks.items()):
             aux, i, room = _aux_primes(pr), walk[0], walk[2]
             qs: list[int] = []
             while i < len(aux):
                 q = aux[i]
                 size = 0 if q in roots else (q - 3) // 2 if trace else q - 1
-                if qs and size > room:
+                if qs and size > room or fresh and size > spare:
                     break
                 i += 1
                 if f0 % q:
@@ -216,13 +221,16 @@ def _power_residue_rejects(f: IntPoly, levels: dict[int, int]) -> set[int]:
                     if q not in roots:
                         roots[q] = []
                         fresh.append(q)
+                        spare = max(spare - size, 0)
+            walk[0] = i
             if qs:
                 taken[pr] = qs
-                walk[0], walk[2] = i, min(2 * walk[2], ROUND_RESIDUES_MAX)
-            else:
+                walk[2] = min(2 * walk[2], ROUND_RESIDUES_MAX)
+            elif i == len(aux):
                 del walks[pr]
         if fresh:
-            pts = [_points(q, trace) for q in fresh]
+            pts = [_points(q, trace) if q <= 2 * ROUND_FRESH_RESIDUES
+                   else _points.__wrapped__(q, trace) for q in fresh]
             sizes = [len(x) for x in pts]
             owner = np.repeat(np.arange(len(fresh)), sizes)
             xs = np.concatenate(pts).astype(np.int64)
@@ -283,10 +291,16 @@ def _root_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
     root = power_root(f, k)
     if root is None or not roots_of_unity_are_signs(f, k, root):
         return None
-    d = f.degree
-    g = minimal_polynomial(f, root)
+    return _least_twin(minimal_polynomial(f, root), k)
+
+
+def _least_twin(g: IntPoly, k: int) -> IntPoly:
+    """The witness factor a k-th root's minimal polynomial g stands for: g
+    itself for odd k, and for even k the lesser by coefficients of g(t)
+    and (-1)^(deg g) g(-t), the minimal polynomial of the negated root."""
     if k % 2:
         return g
+    d = g.degree
     return min(g, IntPoly(tuple((-1) ** (d - i) * c for i, c in enumerate(g.coeffs))),
                key=lambda w: w.coeffs)
 
@@ -639,8 +653,9 @@ def construct_witness(
     (from an s-th root by _root_factor, else by factoring); its inflation
     w(t^(n/s)) raised to a*s/n (an integer by the cap condition) is the
     factor's contribution.  Cyclotomic factors take the closed-form route:
-    the degree-phi(m) factors of Phi_m(t^s) are Phi_m and, for odd m and
-    even s, Phi_2m.  The certificate's sign comes from exact verification.
+    the degree-phi(m) factors of Phi_m(t^s) are Phi_m and, for even s (so
+    odd m), its twin Phi_2m, or Phi_2 for m = 1, and _least_twin picks the
+    least.  The certificate's sign comes from exact verification.
     """
     profile = hartley_profile(delta, mode)
     if not is_n_hartley(profile, n):
@@ -651,11 +666,7 @@ def construct_witness(
         exp, rem = divmod(a * s, n)
         assert rem == 0, "cap condition must make the exponent integral"
         if ev.is_cyclotomic:
-            m = ev.cyclotomic_order
-            cands = [cyclotomic(m)]
-            if s % 2 == 0 and m % 2 == 1:
-                cands.append(cyclotomic(2 * m))
-            w = min(cands, key=lambda c: c.coeffs)
+            w = _least_twin(cyclotomic(ev.cyclotomic_order), s)
         else:
             w = _root_factor(f, s) or _inflation_factor(f, s)
             if w is None:

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
-from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power
+from .cyclotomic import cyclotomic, cyclotomic_tag, phi_inverse, prime_power, primitive_root
 from .hartley import BoundMode, HartleySet, hartley_set, profile_from_factors
 from .intpoly import IntPoly, format_poly, format_terms
 from .modpoly import gfp_eval, primes
@@ -118,16 +118,12 @@ def _candidate_count(g_max: int, top_gap_1: bool) -> int:
 
 def _cyclo_trial(m: int) -> tuple[IntPoly, int, int]:
     """(Phi_m, q, z) with q the least prime = 1 mod m above 2^14 and z a
-    root of Phi_m mod q.  For the m of degrees through 64, q < 2^15, so a
-    Horner step val * z + c mod q stays within one 30-bit int digit, and
-    a Phi_m that does not divide rem passes the screen about once in q."""
-    phim = cyclotomic(m)
+    root of Phi_m mod q: z = g^((q-1)/m) for a primitive root g of q has
+    order m.  For the m of degrees through 64, q < 2^15, so a Horner step
+    val * z + c mod q stays within one 30-bit int digit, and a Phi_m that
+    does not divide rem passes the screen about once in q."""
     q = next(q for q in primes(2**14) if q % m == 1)
-    # the x^((q-1)/m) are the m-th roots of unity mod q, and q = 1 mod m
-    # makes some of them primitive
-    z = next(z for z in (pow(x, (q - 1) // m, q) for x in range(2, q))
-             if phim(z) % q == 0)
-    return phim, q, z
+    return cyclotomic(m), q, pow(primitive_root(q), (q - 1) // m, q)
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Iterator, Optional
 
-from .cyclotomic import factorint, v_p
+from .cyclotomic import factorint, primitive_root, v_p
 from .intpoly import IntPoly, elementary_symmetric, power_sums_monic, pseudo_rem
 from .modpoly import (
     Quotient,
@@ -122,15 +122,11 @@ def _log(b: list[int], z: list[int], order: int, F: Quotient) -> int:
 
 def _subgroup_generator(F: Quotient, q: int, n: int, t: int, primes: list[int]) -> list[int]:
     """A generator of the cyclic subgroup of order t of the field F with n + 1
-    elements, t made of the given primes: w^(n/t) for the first w (in the
-    order of _element) for which it has order t.  When t divides q - 1 the
-    subgroup lies in F_q^*, and the search runs on integers modulo q;
-    otherwise it starts past F_q, whose elements cannot generate it."""
+    elements, t made of the given primes: g^((q-1)/t), g the primitive root
+    of q, when t | q - 1; else w^(n/t) for the first w past F_q (which holds
+    no generator), in the order of _element, for which it has order t."""
     if (q - 1) % t == 0:
-        for c in range(2, q):
-            z = pow(c, (q - 1) // t, q)
-            if all(pow(z, t // p, q) != 1 for p in primes):
-                return [z]
+        return [pow(primitive_root(q), (q - 1) // t, q)]
     c = q
     while True:
         z = F.pow(_element(c, q), n // t)

@@ -117,11 +117,6 @@ class FactoredPoly:
 # -- integer polynomial gcd ------------------------------------------------
 
 
-def _pp_positive(f: IntPoly) -> IntPoly:
-    _, pp, _ = content_primitive(f)
-    return pp
-
-
 def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     """Nonnegative gcd in Z[t]; primitive positive-lc when nonconstant.
 
@@ -147,8 +142,8 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     while True:
         r = pseudo_rem(a, b)[0]
         if not r:
-            return _pp_positive(b) * c
-        a, b = b, _pp_positive(r)
+            return content_primitive(b)[1] * c
+        a, b = b, content_primitive(r)[1]
 
 
 # -- squarefree decomposition over Z ---------------------------------------
@@ -244,17 +239,21 @@ def _mignotte_level(f: IntPoly, p: int) -> int:
     return l
 
 
+def _keeps_squarefree(f: IntPoly, p: int) -> bool:
+    """p does not divide lc(f), and f mod p is squarefree."""
+    if f.lc % p == 0:
+        return False
+    fb = reduce_mod_p(f.coeffs, p)
+    return len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1
+
+
 def good_primes(f: IntPoly) -> Iterator[int]:
     """Odd primes keeping f squarefree with unit leading coefficient, ascending.
 
     The walk never ends: for f with a repeated factor, which no prime
     keeps squarefree, it yields nothing and runs on.
     """
-    for p in primes(3):
-        if f.lc % p:
-            fb = reduce_mod_p(f.coeffs, p)
-            if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
-                yield p
+    return (p for p in primes(3) if _keeps_squarefree(f, p))
 
 
 def _subset_degrees(degs: list[int]) -> int:
@@ -278,16 +277,11 @@ def degree_set_filter(f: IntPoly, target_degree: int) -> bool:
         return True
     # Repeated factors kill squarefreeness at every prime; cap the scan so
     # such inputs fall through to True rather than looping.
-    found = 0
-    for p in itertools.islice(primes(3), 24):
-        if f.lc % p:
-            fb = reduce_mod_p(f.coeffs, p)
-            if len(gfp_gcd(fb, gfp_deriv(fb, p), p)) == 1:
-                if not (_subset_degrees(ddf_degree_multiset(fb, p)) >> target_degree) & 1:
-                    return False
-                found += 1
-                if found == 2:
-                    break
+    good = (p for p in itertools.islice(primes(3), 24) if _keeps_squarefree(f, p))
+    for p in itertools.islice(good, 2):
+        if not (_subset_degrees(ddf_degree_multiset(reduce_mod_p(f.coeffs, p), p))
+                >> target_degree) & 1:
+            return False
     return True
 
 

@@ -12,8 +12,9 @@ from freeperiod import (
     phi_inverse,
     prime_power,
 )
-from freeperiod.cyclotomic import cyclotomic, divisors, euler_phi, factorint, iroot, v_p
-from freeperiod.modpoly import PRIME_PROOF_LIMIT
+from freeperiod.cyclotomic import (
+    cyclotomic, divisors, euler_phi, factorint, iroot, primitive_root, v_p)
+from freeperiod.modpoly import PRIME_PROOF_LIMIT, is_prime
 
 
 def test_package_attribute_is_the_submodule():
@@ -40,6 +41,24 @@ def test_divisors_complete(n):
 @given(st.integers(min_value=1, max_value=500))
 def test_euler_phi_brute(n):
     assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _order(g: int, q: int) -> int:
+    k, x = 1, g % q
+    while x != 1:
+        x, k = x * g % q, k + 1
+    return k
+
+
+def test_primitive_root_is_the_least_generator():
+    for q in filter(is_prime, range(3, 2000)):
+        g = primitive_root(q)
+        assert _order(g, q) == q - 1
+        assert all(_order(c, q) < q - 1 for c in range(2, g))
+    for q in (100003, 2700107):
+        g = primitive_root(q)
+        assert pow(g, q - 1, q) == 1
+        assert all(pow(g, (q - 1) // ell, q) != 1 for ell in factorint(q - 1))
 
 
 def test_prime_power_cases():

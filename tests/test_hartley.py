@@ -2,6 +2,8 @@
 
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from freeperiod import (
 )
 from freeperiod import hartley
 from freeperiod.cli import _hartley_check_row
-from freeperiod.cyclotomic import cyclotomic
+from freeperiod.cyclotomic import cyclotomic, primitive_root
 from freeperiod.hartley import (
     _aux_primes, _cyclotomic_rotation_product, _points, _power_residue_rejects)
-from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, reduce_mod_p
+from freeperiod.modpoly import gfp_deriv, gfp_eval, is_prime, primes_upto, reduce_mod_p
 from freeperiod.zfactor import _FACTOR_CACHE_SIZE
 from polys import FIG8, GOLDEN, K14, TREFOIL
 
@@ -176,6 +178,9 @@ def screen_polys(draw):
 BIG_LEVEL = 1350053
 
 
+# at a round total of 1 every round past its first fresh q takes only
+# cached q, so the walks take turns on new q and each verdict must still hold
+@pytest.mark.parametrize("round_total", [hartley.ROUND_FRESH_RESIDUES, 1])
 @settings(max_examples=80, deadline=None)
 @given(screen_polys(), st.sampled_from(SCREEN_LEVELS))
 # the first round of 2 holds q = 3, 5, ..., 29; here its one try is used
@@ -214,8 +219,9 @@ BIG_LEVEL = 1350053
 # 2 passes 5 of its 8 tries in its first round, and in its second, at twice
 # the budget, passes the last at q = 71 with q = 73 .. 157 of that round left
 @example(FIG8, SCREEN_LEVELS[0])
-def test_batched_residue_screen_matches_per_prime_loop(f, levels):
-    assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
+def test_batched_residue_screen_matches_per_prime_loop(round_total, f, levels):
+    with mock.patch.object(hartley, "ROUND_FRESH_RESIDUES", round_total):
+        assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,6 +234,21 @@ def test_residue_screen_never_rejects_a_true_power(g, pr):
     f = fac.factors[0][0]
     levels = {pr: 16, **{p: 4 for p in (2, 3, 5, 7, 11) if p != pr}}
     assert pr not in _power_residue_rejects(f, levels)
+
+
+def test_residue_screen_memory_is_bounded_per_round():
+    # the 80 walks take q up to 605,411; a round holding a q of every
+    # walk, with every table kept in the cache, would peak near 113 MB
+    f = IntPoly((1, 3, -10**1500, 3, 1))
+    levels = {p: 4 for p in primes_upto(5000)[-80:]}
+    _points.cache_clear()
+    tracemalloc.start()
+    try:
+        _power_residue_rejects(f, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_residue_screen_reduces_wide_coefficients_first():
@@ -247,6 +268,7 @@ def test_residue_screen_reduces_wide_coefficients_first():
 def test_screen_points_are_powers_of_a_primitive_root(q):
     xs = _points(q, False).tolist()
     g = xs[1]
+    assert g == primitive_root(q)
     assert xs == [pow(g, k, q) for k in range(q - 1)]
     assert sorted(xs) == list(range(1, q))
     ys = _points(q, True).tolist()
@@ -588,6 +610,13 @@ def test_construct_witness_cyclotomic_routes():
     assert cert5.witness == cyclotomic(6) and cert5.verified
     cert2 = construct_witness(cyclotomic(5), 2)
     assert cert2.witness == cyclotomic(10) and cert2.verified
+    # m = 1 and even s: Phi_1's twin is Phi_2, and t - 1 is the lesser
+    cert = construct_witness(cyclotomic(1), 2)
+    assert (cert.witness, cert.sign) == (IntPoly((-1, 1)), -1)
+    # even m: s is odd, so Phi_m stands alone
+    assert construct_witness(cyclotomic(4), 3).witness == cyclotomic(4)
+    # odd m and even s, where Phi_m is the lesser twin
+    assert construct_witness(cyclotomic(15), 4).witness == cyclotomic(15)
 
 
 def test_construct_witness_with_t_power():

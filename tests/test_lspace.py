@@ -29,9 +29,10 @@ from freeperiod import (
     verify_witness,
 )
 from freeperiod import lspace
-from freeperiod.cyclotomic import cyclotomic
+from freeperiod.cyclotomic import cyclotomic, cyclotomic_tag, factorint
 from freeperiod.lspace import (
     _factor_candidate, parallel_map, read_report, survey_stream, write_csv)
+from freeperiod.modpoly import is_prime
 
 
 def bag(fp):
@@ -131,6 +132,14 @@ def test_factorization_matches_generic_factoring():
         generic = factor_over_z(cand.poly)
         assert generic.sign == 1 and generic.content == 1
         assert dict(factors) == bag(generic)
+
+
+def test_cyclotomic_trials_are_roots_of_order_m():
+    for phim, q, z in lspace._cyclo_trials(32):
+        m = cyclotomic_tag(phim)
+        assert is_prime(q) and 2**14 < q < 2**15 and q % m == 1
+        assert phim(z) % q == 0
+        assert pow(z, m, q) == 1 and all(pow(z, m // p, q) != 1 for p in factorint(m))
 
 
 def test_known_factor_bags():

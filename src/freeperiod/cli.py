@@ -271,7 +271,7 @@ _per_poly("murasugi", "Run the mod-p periodicity congruence screen.",
 # -- batch commands --------------------------------------------------------
 
 
-_PROGRESS_INTERVAL_S = 10.0
+_PROGRESS_INTERVAL_S = 10
 
 
 def _progress_printer(stream: TextIO) -> Callable[[int, int], None]:

@@ -149,10 +149,9 @@ def cyclotomic_tag(f: IntPoly) -> Optional[int]:
     >>> cyclotomic_tag(IntPoly((1, -3, 1))) is None
     True
     """
-    d = f.degree
-    if not isinstance(d, int) or d < 0 or f.lc != 1:
+    if f.lc != 1:
         return None
-    for m in phi_inverse(d):
+    for m in phi_inverse(f.degree):
         if f == cyclotomic(m):
             return m
     return None

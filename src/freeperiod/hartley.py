@@ -289,7 +289,7 @@ def _root_factor(f: IntPoly, k: int) -> Optional[IntPoly]:
     (-1)^d g(-t), that of -beta.
     """
     root = power_root(f, k)
-    if root is None or not roots_of_unity_are_signs(f, k, root):
+    if root is None or not roots_of_unity_are_signs(f, k):
         return None
     return _least_twin(minimal_polynomial(f, root), k)
 
@@ -437,7 +437,7 @@ def profile_from_factors(
     candidates: set[int] = set()
     for f, a, ev in data:
         if ev.is_cyclotomic:
-            candidates.update(factorint(ev.cyclotomic_order).keys() if ev.cyclotomic_order > 1 else [])
+            candidates.update(factorint(ev.cyclotomic_order))
         else:
             candidates.update(factorint(a * ev.e).keys())
     caps: list[tuple[int, int]] = []
@@ -672,8 +672,6 @@ def construct_witness(
             if w is None:
                 raise AssertionError(f"guaranteed degree-{f.degree} factor missing for {f}")
         g = g * w.inflate(n // s) ** exp
-    if g.lc < 0:
-        g = -g
     holds, sign = verify_witness(delta, n, g)
     if not holds:
         raise AssertionError("constructed witness failed verification")

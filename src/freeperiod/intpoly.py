@@ -3,7 +3,7 @@
 Everything downstream (factorization, Hartley tests, congruence screens)
 works with `IntPoly`: an immutable dense coefficient vector over Z with
 index i holding the coefficient of t^i.  The zero polynomial is the empty
-vector and has degree NEG_INF so that degree comparisons stay total.
+vector and has degree -1, below every other degree.
 
 Text format, both directions: symbolic "c_k*t^k + ... + c_0" with the "*"
 optional ("3t^2" parses), or a comma separated ascending coefficient list.
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
-
-NEG_INF = float("-inf")
 
 Scalar = Union[int, Fraction]
 
@@ -96,8 +94,8 @@ class IntPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def lc(self) -> int:

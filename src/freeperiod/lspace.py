@@ -24,7 +24,6 @@ Reports are written record by record, as compact JSON (write_json) or CSV
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -147,7 +146,7 @@ def _factor_candidate(poly: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     """
     bag: dict[IntPoly, int] = {}
     rem = poly
-    for phim, q, z in _cyclo_trials(int(poly.degree)):
+    for phim, q, z in _cyclo_trials(poly.degree):
         if phim.degree > rem.degree:
             continue
         if gfp_eval(rem.coeffs, z, q):
@@ -267,7 +266,7 @@ def _ordered_map(fn: Callable[[T], R], items: Iterable[T], total: int,
     """
     workers = min(jobs, os.cpu_count() or 1)
     pooled = workers > 1 and total > 1
-    size = min(_CHUNK, math.ceil(total / (8 * workers))) if pooled else _CHUNK
+    size = min(_CHUNK, -(-total // (8 * workers))) if pooled else _CHUNK
     rest = iter(items)
     chunks = iter(lambda: list(islice(rest, size)), [])
     task = partial(_map_chunk, fn)

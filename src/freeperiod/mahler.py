@@ -84,7 +84,7 @@ def prime_bound(f: IntPoly, mode: BoundMode = BoundMode.HEURISTIC) -> int:
     the module docstring.
     """
     d = f.degree
-    if not isinstance(d, int) or d < 2:
+    if d < 2:
         raise ValueError("prime_bound needs degree at least 2")
     f = content_primitive(f)[1]
     if cyclotomic_tag(f) is not None:

@@ -71,7 +71,7 @@ def _require_screenable(delta: IntPoly) -> None:
 
 def _prime_of(q: int) -> int:
     pk = prime_power(q)
-    if pk is None or q < 2:
+    if pk is None:
         raise ValueError(f"{q} is not a prime power")
     return pk[0]
 
@@ -167,7 +167,7 @@ def _screen_powers(delta: IntPoly, p: int, qs: tuple[int, ...],
     # one reduction of delta and one divisor-image set serve every q = p^r
     dbar, reduced, hits = reduce_mod_p(delta, p), None, []
     for q in qs:
-        for lam, shift, sign, d_bar in _solutions(dbar, q, p, int(delta.degree)):
+        for lam, shift, sign, d_bar in _solutions(dbar, q, p, delta.degree):
             if reduced is None:
                 reduced = _reduced_divisor_set(factored or factor_over_z(delta), p)
             hit = MurasugiHit(q=q, lam=lam, quotient=IntPoly(d_bar), shift=shift,
@@ -211,6 +211,6 @@ def murasugi_screen_all(delta: IntPoly,
     """
     _require_screenable(delta)
     hits = []
-    for p, qs in _prime_powers_upto(max(int(delta.degree), 1) + 1):
+    for p, qs in _prime_powers_upto(max(delta.degree, 1) + 1):
         hits += _screen_powers(delta, p, qs, factored)
     return sorted(hits, key=lambda h: h.q)

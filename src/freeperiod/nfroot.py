@@ -72,16 +72,10 @@ CHOICE_LIMIT = 4
 
 @dataclass(frozen=True)
 class KthRoot:
-    """h = num / den with h^k = x modulo f, verified exactly.
-
-    q is the prime the root was lifted at and degrees the degrees d_i of
-    the irreducible factors of f mod q, the residue degrees above q.
-    """
+    """h = num / den with h^k = x modulo f, verified exactly."""
 
     num: IntPoly
     den: int
-    q: int
-    degrees: tuple[int, ...]
 
 
 # -- the residue fields ----------------------------------------------------
@@ -364,8 +358,7 @@ def power_root(f: IntPoly, k: int) -> Optional[KthRoot]:
     got = _lift(f, k, q, _crt_starts(pieces, q)) if pieces else None
     if got is None:
         return None
-    degrees = tuple(sorted(D for v, D in blocks for _ in range((len(v) - 1) // D)))
-    return KthRoot(IntPoly(tuple(got[0])), got[1], q, degrees)
+    return KthRoot(IntPoly(tuple(got[0])), got[1])
 
 
 def minimal_polynomial(f: IntPoly, root: KthRoot) -> IntPoly:
@@ -398,18 +391,16 @@ def minimal_polynomial(f: IntPoly, root: KthRoot) -> IntPoly:
     return IntPoly(tuple(c // g.content() for c in g.coeffs))
 
 
-def roots_of_unity_are_signs(f: IntPoly, k: int, root: KthRoot) -> bool:
+def roots_of_unity_are_signs(f: IntPoly, k: int) -> bool:
     """True when Q(alpha) provably holds no k-th root of unity but +-1.
 
     Those of Q(alpha) embed into every residue field F_(q^(d_i)) at a
     prime q of _primes (q divides neither k nor lc(f), and f mod q is
     squarefree), so one such field with gcd(k, q^(d_i) - 1) <= 2 proves
     it; so does an odd degree, which gives Q(alpha) a real embedding.
-    The root's own q is read first, then up to PRIME_TRIES other primes
-    of the walk.
+    The first PRIME_TRIES + 1 primes of the walk are read, among them the
+    prime power_root lifts at.
     """
-    if f.degree % 2 or any(math.gcd(k, root.q**D - 1) <= 2 for D in root.degrees):
-        return True
-    others = (q for q in _primes(f, k) if q != root.q)
-    return any(any(math.gcd(k, q**D - 1) <= 2 for _, D in _splitting(f, k, q)[0])
-               for q in islice(others, PRIME_TRIES))
+    return f.degree % 2 == 1 or any(
+        math.gcd(k, q**D - 1) <= 2
+        for q in islice(_primes(f, k), PRIME_TRIES + 1) for _, D in _splitting(f, k, q)[0])

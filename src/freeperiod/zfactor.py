@@ -433,8 +433,6 @@ def _zassenhaus(f: IntPoly, p: int, possible: int) -> list[IntPoly]:
             for i in combo:
                 prod = gfp_mul(prod, hs[i], big)
             cand = IntPoly(tuple(_sym(c, big) for c in prod))
-            if not cand:
-                continue
             _, cand_pp, _ = content_primitive(cand)
             g1, c1 = G(1), cand_pp(1)
             if g1 != 0 and (c1 == 0 or g1 % c1):

@@ -1,5 +1,6 @@
 """The library decides in integers: no float function or float constant of
-math or cmath (math.inf included: "no cap" is None, not infinity).
+math or cmath (math.inf included: "no cap" is None, not infinity), no call
+of the builtin float and no float literal.
 
 Every module of the package is parsed, not imported, so the check sees
 code on every path, including ones no other test reaches.
@@ -14,8 +15,9 @@ FLOAT_MATH = {"log", "exp", "sqrt", "pi", "inf"}
 
 
 class _FloatUses(ast.NodeVisitor):
-    """(file, enclosing functions, line, what) for each cmath import and
-    each use of a float function of math."""
+    """(file, enclosing functions, line, what) for each cmath import, each
+    use of a float function of math, each call of float and each float
+    literal."""
 
     def __init__(self, name: str):
         self.name = name
@@ -48,6 +50,15 @@ class _FloatUses(ast.NodeVisitor):
             self._add(node, f"math.{node.attr}")
         self.generic_visit(node)
 
+    def visit_Call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "float":
+            self._add(node, "float()")
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, float):
+            self._add(node, repr(node.value))
+
 
 def _float_uses(name: str, source: str):
     visitor = _FloatUses(name)
@@ -65,6 +76,20 @@ def test_scanner_flags_the_infinity_sentinel():
     assert _float_uses("planted.py", planted) == [
         ("planted.py", (), 2, "from math import ['inf']"),
         ("planted.py", (), 4, "math.inf")]
+
+
+def test_scanner_flags_a_float_call():
+    planted = 'NEG_INF = float("-inf")\n\ndef half(n):\n    return float(n) // 2\n'
+    assert _float_uses("planted.py", planted) == [
+        ("planted.py", (), 1, "float()"),
+        ("planted.py", ("half",), 4, "float()")]
+
+
+def test_scanner_flags_a_float_literal():
+    planted = "INTERVAL_S = 10.0\n\ndef ms(s):\n    return s * 1e3\n"
+    assert _float_uses("planted.py", planted) == [
+        ("planted.py", (), 1, "10.0"),
+        ("planted.py", ("ms",), 4, "1000.0")]
 
 
 def test_no_float_math_in_the_package():

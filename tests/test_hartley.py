@@ -219,6 +219,9 @@ BIG_LEVEL = 1350053
 # 2 passes 5 of its 8 tries in its first round, and in its second, at twice
 # the budget, passes the last at q = 71 with q = 73 .. 157 of that round left
 @example(FIG8, SCREEN_LEVELS[0])
+# phi^2 is a square, so 2 passes every auxiliary prime below 2,400 and its
+# walk ends when the list runs out
+@example(FIG8, {2: 10**6})
 def test_batched_residue_screen_matches_per_prime_loop(round_total, f, levels):
     with mock.patch.object(hartley, "ROUND_FRESH_RESIDUES", round_total):
         assert _power_residue_rejects(f, levels) == _reference_rejects(f, levels)

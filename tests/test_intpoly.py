@@ -22,7 +22,7 @@ def test_trailing_zeros_trim():
 def test_degree_and_lc():
     f = IntPoly((1, -3, 1))
     assert f.degree == 2 and f.lc == 1
-    assert IntPoly.zero().degree == float("-inf")
+    assert IntPoly.zero().degree == -1
     assert IntPoly.constant(5).degree == 0
 
 

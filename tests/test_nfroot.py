@@ -25,6 +25,7 @@ from freeperiod.modpoly import Quotient, ddf_degree_multiset, gfp_deriv, gfp_gcd
 from freeperiod.nfroot import (
     _element,
     _is_root,
+    _reconstruct,
     field_roots,
     minimal_polynomial,
     power_root,
@@ -179,11 +180,11 @@ def test_power_root_walks_past_primes_that_break_squarefreeness(f, h):
     # 3, 5, 7 and 11 divide both discriminants, so f mod q has a double
     # root there; four tries spent on them would leave no prime, but the
     # walk of good primes skips them and lifts at q = 13, where h / 35
-    # squares to x
+    # squares to x; with PRIME_TRIES = 4, a found root shows the skip
     f = parse_poly(f)
     assert not any(_squarefree_mod(f, q) for q in (3, 5, 7, 11))
     root = power_root(f, 2)
-    assert root is not None and root.q == 13 and is_exact_root(root, f, 2)
+    assert root is not None and is_exact_root(root, f, 2)
     assert (root.num, root.den) in ((parse_poly(h), 35), (-parse_poly(h), 35))
 
 
@@ -217,6 +218,16 @@ def test_certificate_rejects_near_roots():
     assert _is_root(nums, root.den, 2, f)
     assert not _is_root(nums, root.den, 3, f)
     assert not _is_root([nums[0] + 1] + nums[1:], root.den, 2, f)
+
+
+def test_reconstruction_bounds_the_common_denominator():
+    # at m = 2^17 * 200 + 1 both numerators and denominators are bounded by
+    # 14: 1/3 and 1/5 each reconstruct, but their common denominator is 15
+    m = 2**17 * 200 + 1
+    third, fifth = pow(3, -1, m), pow(5, -1, m)
+    assert _reconstruct([third], 1, m) == ([1], 3)
+    assert _reconstruct([fifth], 1, m) == ([1], 5)
+    assert _reconstruct([third, fifth], 2, m) is None
 
 
 def test_minimal_polynomial_of_a_non_monic_field():
@@ -297,7 +308,7 @@ def test_witness_falls_back_when_cube_roots_of_unity_may_lie_in_the_field():
     g = parse_poly("t^2 - t + 7")
     f = rotation_product_deflated(g, 3)
     root = power_root(f, 3)
-    assert root is not None and not roots_of_unity_are_signs(f, 3, root)
+    assert root is not None and not roots_of_unity_are_signs(f, 3)
     assert minimal_polynomial(f, root) in [h for h, _ in factor_over_z(f.inflate(3)).factors]
     assert hartley._root_factor(f, 3) is None
     w = construct_witness(f, 3).witness
